@@ -4,11 +4,11 @@
 
    The PSS is solved once (sparse + krylov — it is not what is being
    measured) and shared by every mode, so the comparison isolates the
-   periodic-wrap treatment:
+   periodic-wrap treatment, one Linsys.solver regime per mode:
 
-     dense   backend=dense,  krylov=off  (explicit Φ(ω), dense factor)
-     sparse  backend=sparse, krylov=off  (sparse steps, dense wrap)
-     krylov  backend=sparse, krylov=on   (matrix-free wrap, GMRES)
+     dense   Dense   (explicit Φ(ω), dense factor)
+     sparse  Sparse  (sparse steps, dense wrap)
+     krylov  Krylov  (sparse steps, matrix-free wrap, GMRES)
 
    Gates (the repo's acceptance criteria for the matrix-free path):
    - every mode/domain reads the same total_psd within 1e-9 relative;
@@ -20,8 +20,6 @@
 
 type case = {
   mode : string;
-  backend : string;
-  krylov : string;
   domains : int;
   size : int;
   steps : int;
@@ -33,15 +31,12 @@ type case = {
 }
 
 let modes =
-  [
-    ("dense", Linsys.Dense, Linsys.Koff);
-    ("sparse", Linsys.Sparse, Linsys.Koff);
-    ("krylov", Linsys.Sparse, Linsys.Kon);
-  ]
+  [ ("dense", Linsys.Dense); ("sparse", Linsys.Sparse);
+    ("krylov", Linsys.Krylov) ]
 
-let measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains =
+let measure ~pss ~output ~sources_of ~mode ~solver ~domains =
   let lptv, build_s =
-    Util.timed (fun () -> Lptv.build ~domains ~backend ~krylov pss ~f_offset:1.0)
+    Util.timed (fun () -> Lptv.build ~domains ~solver pss ~f_offset:1.0)
   in
   let sources = sources_of lptv in
   let sb, analyze_s =
@@ -60,8 +55,6 @@ let measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains =
     analyze_s sigma_s sb.Pnoise.total_psd;
   {
     mode;
-    backend = Linsys.backend_to_string backend;
-    krylov = Linsys.krylov_to_string krylov;
     domains;
     size = Circuit.size pss.Pss.circuit;
     steps = pss.Pss.steps;
@@ -74,10 +67,10 @@ let measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains =
 
 let json_of_case c =
   Printf.sprintf
-    "    {\"mode\": %S, \"backend\": %S, \"krylov\": %S, \"domains\": %d, \
+    "    {\"mode\": %S, \"domains\": %d, \
      \"size\": %d, \"steps\": %d, \"sources\": %d, \"build_s\": %.6f, \
      \"analyze_s\": %.6f, \"sigma_s\": %.6f, \"total_psd\": %.17g}"
-    c.mode c.backend c.krylov c.domains c.size c.steps c.n_sources c.build_s
+    c.mode c.domains c.size c.steps c.n_sources c.build_s
     c.analyze_s c.sigma_s c.total_psd
 
 let write_json ~path ~host_cores ~measured_winner ~recommended_domains ~basis
@@ -110,10 +103,7 @@ let run ~quick =
   let output = Dac_string.tap (params.Dac_string.codes / 2) in
   Format.printf "deck: dac_string codes=%d -> %d MNA unknowns, %d steps@."
     params.Dac_string.codes size steps;
-  let pss =
-    Pss.solve ~steps ~backend:Linsys.Sparse ~krylov:Linsys.Kon circuit
-      ~period:(1.0 /. freq)
-  in
+  let pss = Pss.solve ~steps ~solver:Linsys.Krylov circuit ~period:(1.0 /. freq) in
   (* the sources only depend on the PSS; build them once through the
      first LPTV context per mode and reuse the array (the injection
      closures read shared PSS state, so this is safe across modes) *)
@@ -135,10 +125,9 @@ let run ~quick =
     "pnoise [s]" "sigma [s]" "psd";
   let cases =
     List.concat_map
-      (fun (mode, backend, krylov) ->
+      (fun (mode, solver) ->
         List.map
-          (fun domains ->
-            measure ~pss ~output ~sources_of ~mode ~backend ~krylov ~domains)
+          (fun domains -> measure ~pss ~output ~sources_of ~mode ~solver ~domains)
           (domain_counts ~mode))
       modes
   in
@@ -206,12 +195,11 @@ let run ~quick =
      timings *)
   Util.metrics_pass ~path:"BENCH_scale_metrics.json" (fun () ->
       let pss =
-        Pss.solve ~steps ~backend:Linsys.Sparse ~krylov:Linsys.Kon circuit
-          ~period:(1.0 /. freq)
+        Pss.solve ~steps ~solver:Linsys.Krylov circuit ~period:(1.0 /. freq)
       in
       let lptv =
-        Lptv.build ~domains:winner.domains ~backend:Linsys.Sparse
-          ~krylov:Linsys.Kon pss ~f_offset:1.0
+        Lptv.build ~domains:winner.domains ~solver:Linsys.Krylov pss
+          ~f_offset:1.0
       in
       let sources = Pnoise.mismatch_sources lptv in
       let sb =

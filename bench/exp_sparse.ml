@@ -40,29 +40,28 @@ let measure ~reps ~codes ~steps =
   let pss = Pss.solve ~steps circuit ~period:(1.0 /. freq) in
   let output = Dac_string.tap (codes / 2) in
   List.map
-    (fun backend ->
+    (fun (backend, solver) ->
       let lptv, build_s =
-        best_of reps (fun () -> Lptv.build ~backend pss ~f_offset:1.0)
+        best_of reps (fun () -> Lptv.build ~solver pss ~f_offset:1.0)
       in
       let sources = Pnoise.mismatch_sources lptv in
       let sb, analyze_s =
         best_of reps (fun () ->
             Pnoise.analyze lptv ~output ~harmonic:0 ~sources)
       in
-      Format.printf "  %5d %5d %8s %10.3f %10.3f %14.6e@." codes size
-        (Linsys.backend_to_string backend)
+      Format.printf "  %5d %5d %8s %10.3f %10.3f %14.6e@." codes size backend
         build_s analyze_s sb.Pnoise.total_psd;
       {
         codes;
         size;
         steps;
         n_sources = Array.length sources;
-        backend = Linsys.backend_to_string backend;
+        backend;
         build_s;
         analyze_s;
         total_psd = sb.Pnoise.total_psd;
       })
-    [ Linsys.Dense; Linsys.Sparse ]
+    [ ("dense", Linsys.Dense); ("sparse", Linsys.Sparse) ]
 
 let json_of_case c =
   Printf.sprintf
@@ -119,7 +118,7 @@ let run ~quick =
       let freq = 1e6 in
       let circuit = Dac_string.testbench ~params ~freq () in
       let pss = Pss.solve ~steps circuit ~period:(1.0 /. freq) in
-      let lptv = Lptv.build ~backend:Linsys.Sparse pss ~f_offset:1.0 in
+      let lptv = Lptv.build ~solver:Linsys.Sparse pss ~f_offset:1.0 in
       let sources = Pnoise.mismatch_sources lptv in
       Pnoise.analyze lptv ~output:(Dac_string.tap (codes / 2)) ~harmonic:0
         ~sources)

@@ -21,13 +21,11 @@
 
    Exit codes: 0 success; 123 typed analysis/setup failure; 124 budget
    expiry (partial artifacts are still written first); 3 a sweep that
-   completed but has failed points.
+   completed but has failed points; 2 a usage error.
 
    Global-ish options shared by the solver-heavy subcommands:
      --domains N                 OCaml domains for the LPTV/PNOISE passes
-     --backend dense|sparse|auto linear-solver backend (docs/solver.md)
-     --krylov auto|on|off        matrix-free periodic wrap (GMRES) for
-                                 the PSS/LPTV layer (docs/solver.md)
+   (the linear solver follows the circuit size: docs/solver.md)
 
    Resilience options (docs/robustness.md):
      --budget T                  wall-clock budget (suffixes, e.g. 500m)
@@ -63,35 +61,6 @@ let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
          ~doc:"Number of OCaml domains for the parallel LPTV/PNOISE passes \
                (results are bit-identical for any value)")
-
-let backend_conv =
-  Arg.conv
-    ~docv:"BACKEND"
-    ( (fun s ->
-        match Linsys.backend_of_string s with
-        | Some b -> Ok b
-        | None -> Error (`Msg "expected dense, sparse or auto")),
-      fun ppf b -> Format.pp_print_string ppf (Linsys.backend_to_string b) )
-
-let backend_arg =
-  Arg.(value & opt backend_conv Linsys.Auto & info [ "backend" ] ~docv:"BACKEND"
-         ~doc:"Linear-solver backend: $(b,dense), $(b,sparse) or $(b,auto) \
-               (size-based choice; see docs/solver.md)")
-
-let krylov_conv =
-  Arg.conv
-    ~docv:"KRYLOV"
-    ( (fun s ->
-        match Linsys.krylov_of_string s with
-        | Some k -> Ok k
-        | None -> Error (`Msg "expected auto, on or off")),
-      fun ppf k -> Format.pp_print_string ppf (Linsys.krylov_to_string k) )
-
-let krylov_arg =
-  Arg.(value & opt krylov_conv Linsys.Kauto & info [ "krylov" ] ~docv:"KRYLOV"
-         ~doc:"Matrix-free Krylov (GMRES) treatment of the periodic wrap \
-               in the PSS shooting and LPTV build: $(b,auto) (size-based), \
-               $(b,on) or $(b,off); see docs/solver.md")
 
 (* ------------------------------------------------------------------ *)
 (* resilience options *)
@@ -261,7 +230,7 @@ let run_resilient obs res ~label f =
   out.Resilient.result
 
 let run_cmd =
-  let run path domains backend krylov cache_dir mem_cache res obs =
+  let run path domains cache_dir mem_cache res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck -> (
@@ -270,8 +239,8 @@ let run_cmd =
         handle_run
           (run_resilient obs res ~label:("run " ^ path)
              (fun ~policy ~budget ->
-               Spice_run.run ~domains ~backend ~krylov ~policy ?budget
-                 Format.std_formatter deck))
+               Spice_run.run ~domains ~policy ?budget Format.std_formatter
+                 deck))
       | Some cache ->
         (* the cached path goes through the typed job API so a hit
            replays the stored bytes verbatim (byte-identical output) *)
@@ -280,8 +249,7 @@ let run_cmd =
              run_resilient obs res ~label:("run " ^ path)
                (fun ~policy ~budget ->
                  Spice_job.submit
-                   (Spice_job.request ~domains ~backend ~krylov ~policy
-                      ?budget ~cache deck))
+                   (Spice_job.request ~domains ~policy ?budget ~cache deck))
            with
            | Ok o ->
              print_string o.Spice_job.output;
@@ -294,44 +262,44 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run every analysis card in a netlist deck")
-    Term.(ret (const run $ deck_arg $ domains_arg $ backend_arg $ krylov_arg
-               $ cache_dir_arg $ mem_cache_arg $ res_term $ obs_term))
+    Term.(ret (const run $ deck_arg $ domains_arg $ cache_dir_arg
+               $ mem_cache_arg $ res_term $ obs_term))
 
 let op_cmd =
-  let run path backend res obs =
+  let run path res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck ->
       handle_run
         (run_resilient obs res ~label:("op " ^ path)
            (fun ~policy ~budget ->
-             Spice_run.run_analysis ~backend ~policy ?budget
-               Format.std_formatter deck Spice_ast.A_op))
+             Spice_run.run_analysis ~policy ?budget Format.std_formatter deck
+               Spice_ast.A_op))
   in
   Cmd.v
     (Cmd.info "op" ~doc:"DC operating point of a deck")
-    Term.(ret (const run $ deck_arg $ backend_arg $ res_term $ obs_term))
+    Term.(ret (const run $ deck_arg $ res_term $ obs_term))
 
 let output_arg =
   Arg.(required & opt (some string) None & info [ "o"; "output" ]
          ~docv:"NODE" ~doc:"Output node")
 
 let dcmatch_cmd =
-  let run path output domains backend res obs =
+  let run path output domains res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck ->
       handle_run
         (run_resilient obs res ~label:("dcmatch " ^ path)
            (fun ~policy ~budget ->
-             Spice_run.run_analysis ~domains ~backend ~policy ?budget
+             Spice_run.run_analysis ~domains ~policy ?budget
                Format.std_formatter deck (Spice_ast.A_dc_match { output })))
   in
   Cmd.v
     (Cmd.info "dcmatch"
        ~doc:"Classical DC match analysis (sigma of a DC node voltage)")
-    Term.(ret (const run $ deck_arg $ output_arg $ domains_arg $ backend_arg
-               $ res_term $ obs_term))
+    Term.(ret (const run $ deck_arg $ output_arg $ domains_arg $ res_term
+               $ obs_term))
 
 let yield_cmd =
   let above_arg =
@@ -379,7 +347,7 @@ let yield_cmd =
                  importance-sampling speedup is measured against")
   in
   let run path output above below n seed batch fom scale divergence no_shift
-      domains backend krylov cache_dir mem_cache res obs =
+      domains cache_dir mem_cache res obs =
     if above = None && below = None then
       fail_exit "yield: need a failure bound (--above and/or --below)";
     match read_deck path with
@@ -398,15 +366,14 @@ let yield_cmd =
       | None ->
         handle_run
           (run_resilient obs res ~label (fun ~policy ~budget ->
-               Spice_run.run_analysis ~domains ~backend ~krylov ~policy
-                 ?budget Format.std_formatter deck card))
+               Spice_run.run_analysis ~domains ~policy ?budget
+                 Format.std_formatter deck card))
       | Some cache ->
         handle_run
           (match
              run_resilient obs res ~label (fun ~policy ~budget ->
                  Spice_job.submit
-                   (Spice_job.request ~domains ~backend ~krylov ~policy
-                      ?budget ~cache deck))
+                   (Spice_job.request ~domains ~policy ?budget ~cache deck))
            with
            | Ok o ->
              print_string o.Spice_job.output;
@@ -424,9 +391,8 @@ let yield_cmd =
              (docs/yield.md)")
     Term.(ret (const run $ deck_arg $ output_arg $ above_arg $ below_arg
                $ n_arg $ seed_arg $ batch_arg $ fom_arg $ scale_arg
-               $ divergence_arg $ no_shift_arg $ domains_arg $ backend_arg
-               $ krylov_arg $ cache_dir_arg $ mem_cache_arg $ res_term
-               $ obs_term))
+               $ divergence_arg $ no_shift_arg $ domains_arg $ cache_dir_arg
+               $ mem_cache_arg $ res_term $ obs_term))
 
 let period_arg =
   let period_conv =
@@ -442,14 +408,14 @@ let period_arg =
          ~doc:"PSS fundamental period (suffixes allowed, e.g. 4n)")
 
 let mismatch_cmd =
-  let run path output period domains backend krylov res obs =
+  let run path output period domains res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck ->
       handle_run
         (run_resilient obs res ~label:("mismatch " ^ path)
            (fun ~policy ~budget ->
-             Spice_run.run_analysis ~domains ~backend ~krylov ~policy ?budget
+             Spice_run.run_analysis ~domains ~policy ?budget
                Format.std_formatter deck
                (Spice_ast.A_mismatch_dc { output; period })))
   in
@@ -458,14 +424,14 @@ let mismatch_cmd =
        ~doc:"Pseudo-noise mismatch analysis of a DC-like performance \
              (PSS + LPTV baseband)")
     Term.(ret (const run $ deck_arg $ output_arg $ period_arg $ domains_arg
-               $ backend_arg $ krylov_arg $ res_term $ obs_term))
+               $ res_term $ obs_term))
 
 let pnoise_cmd =
   let harmonic_arg =
     Arg.(value & opt int 0 & info [ "harmonic" ] ~docv:"N"
            ~doc:"Sideband harmonic index (0 = baseband)")
   in
-  let run path output period harmonic domains backend krylov res obs =
+  let run path output period harmonic domains res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck ->
@@ -475,8 +441,7 @@ let pnoise_cmd =
              (fun ~policy ~budget ->
                let circuit = deck.Spice_elab.circuit in
                let ctx =
-                 Analysis.prepare ~domains ~backend ~krylov ~policy ?budget
-                   circuit ~period
+                 Analysis.prepare ~domains ~policy ?budget circuit ~period
                in
                Pnoise.analyze ~domains ~policy ?budget ctx.Analysis.lptv
                  ~output ~harmonic ~sources:ctx.Analysis.sources)
@@ -491,8 +456,7 @@ let pnoise_cmd =
        ~doc:"Periodic pseudo-noise analysis: mismatch sideband PSD at an \
              output node, with per-source contributions")
     Term.(ret (const run $ deck_arg $ output_arg $ period_arg $ harmonic_arg
-               $ domains_arg $ backend_arg $ krylov_arg $ res_term
-               $ obs_term))
+               $ domains_arg $ res_term $ obs_term))
 
 let demo_cmd =
   let demos = [ ("comparator", `Comparator); ("logicpath", `Logicpath);
@@ -501,7 +465,7 @@ let demo_cmd =
     Arg.(value & pos 0 (enum demos) `Ringosc & info [] ~docv:"DEMO"
            ~doc:"comparator | logicpath | ringosc")
   in
-  let run which domains backend krylov res obs =
+  let run which domains res obs =
     handle_run
       (run_resilient obs res ~label:"demo" (fun ~policy ~budget ->
            match which with
@@ -509,16 +473,16 @@ let demo_cmd =
              let params = Strongarm.default_params in
              let circuit = Strongarm.testbench ~params () in
              let ctx =
-               Analysis.prepare ~steps:400 ~domains ~backend ~krylov ~policy
-                 ?budget circuit ~period:params.Strongarm.clk_period
+               Analysis.prepare ~steps:400 ~domains ~policy ?budget circuit
+                 ~period:params.Strongarm.clk_period
              in
              Format.printf "%a@." Report.pp
                (Analysis.dc_variation ctx ~output:Strongarm.vos_node)
            | `Logicpath ->
              let lp = Logic_path.build Logic_path.X_first in
              let ctx =
-               Analysis.prepare ~steps:800 ~domains ~backend ~krylov ~policy
-                 ?budget lp.Logic_path.circuit ~period:lp.Logic_path.period
+               Analysis.prepare ~steps:800 ~domains ~policy ?budget
+                 lp.Logic_path.circuit ~period:lp.Logic_path.period
              in
              let crossing =
                { Analysis.edge = Waveform.Falling;
@@ -537,7 +501,7 @@ let demo_cmd =
            | `Ringosc ->
              let circuit = Ring_osc.build () in
              let rep, _ =
-               Analysis.frequency_variation ~backend ~policy ?budget circuit
+               Analysis.frequency_variation ~policy ?budget circuit
                  ~anchor:Ring_osc.anchor
                  ~f_guess:(Ring_osc.f_guess Ring_osc.default_params)
              in
@@ -545,8 +509,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Run a built-in benchmark circuit analysis")
-    Term.(ret (const run $ which $ domains_arg $ backend_arg $ krylov_arg
-               $ res_term $ obs_term))
+    Term.(ret (const run $ which $ domains_arg $ res_term $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* sweep: supervised characterization fan-out (docs/robustness.md) *)
@@ -747,7 +710,8 @@ let serve_cmd =
     in
     let cfg =
       Serve.default_config ~lanes ~job_domains ?cache
-        ?default_budget_s:res.budget_s ?log_path socket
+        ?default_budget_s:res.budget_s ?log_path
+        ~trace:(obs.trace <> None) socket
     in
     (* Serve.run owns Obs.enable (stats must see live counters even
        with no --metrics), so the with_obs wrapper does not apply; the
@@ -815,8 +779,7 @@ let submit_cmd =
       Printf.eprintf "varsim: %s done (%.3f s)\n%!" p dt
     | _ -> ()
   in
-  let run socket stats deck_path id steps f_offset domains backend krylov
-      progress res =
+  let run socket stats deck_path id steps f_offset domains progress res =
     if stats then
       match Serve.call ~socket_path:socket Serve.stats_request with
       | Error m -> fail_exit m
@@ -832,8 +795,8 @@ let submit_cmd =
           with Sys_error m -> fail_exit m
         in
         let reqline =
-          Serve.request_json ~id ?steps ?f_offset ~backend ~krylov
-            ?budget_s:res.budget_s ~domains ~events:progress deck_text
+          Serve.request_json ~id ?steps ?f_offset ?budget_s:res.budget_s
+            ~domains ~events:progress deck_text
         in
         match
           Serve.call ~on_event:(if progress then on_event else fun _ -> ())
@@ -872,8 +835,8 @@ let submit_cmd =
              print the rendered result (exit codes match local runs: \
              124 on budget expiry, 123 on typed failure)")
     Term.(ret (const run $ socket_arg $ stats_arg $ deck_opt_arg $ id_arg
-               $ steps_arg $ f_offset_arg $ domains_arg $ backend_arg
-               $ krylov_arg $ progress_arg $ res_term))
+               $ steps_arg $ f_offset_arg $ domains_arg $ progress_arg
+               $ res_term))
 
 (* ------------------------------------------------------------------ *)
 (* top: live daemon view over the stats/metrics ops
@@ -992,6 +955,12 @@ let main =
       demo_cmd; sweep_cmd; worker_cmd; serve_cmd; submit_cmd; top_cmd;
       version_cmd ]
 
+(* Cmd.eval would exit 124 on a usage error, the status reserved for
+   budget expiry (docs/robustness.md): usage errors exit 2 instead *)
 let () =
   Faultsim.arm_env ();
-  exit (Cmd.eval main)
+  exit
+    (match Cmd.eval_value main with
+     | Ok (`Ok () | `Version | `Help) -> 0
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> Cmd.Exit.internal_error)

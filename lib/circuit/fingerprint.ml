@@ -11,7 +11,7 @@
 type t = { buf : Buffer.t }
 
 (* bump when any canonical serialization changes shape *)
-let scheme_version = "fp1"
+let scheme_version = "fp2"
 
 let create kind =
   let buf = Buffer.create 256 in

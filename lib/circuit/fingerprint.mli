@@ -14,7 +14,7 @@
 type t
 
 val scheme_version : string
-(** Version tag baked into every fingerprint ("fp1"). *)
+(** Version tag baked into every fingerprint ("fp2"). *)
 
 val create : string -> t
 (** [create kind] starts an accumulator tagged with the content kind

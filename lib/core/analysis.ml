@@ -14,7 +14,7 @@ let timed f =
   (y, Unix.gettimeofday () -. t0)
 
 let prepare ?(steps = 200) ?(f_offset = 1.0) ?warmup_periods ?(domains = 1)
-    ?backend ?krylov ?(policy = Retry.default) ?budget ?cache circuit ~period =
+    ?(policy = Retry.default) ?budget ?cache circuit ~period =
   Obs.span "analysis.prepare" @@ fun () ->
   (* the converged shooting state is the expensive part of a PSS solve:
      with a cached states.(0) for this exact (circuit, knobs) key the
@@ -32,15 +32,14 @@ let prepare ?(steps = 200) ?(f_offset = 1.0) ?warmup_periods ?(domains = 1)
       | Some xs when Array.length xs = n -> Some xs
       | Some _ | None -> None)
   in
-  let pss = Pss.solve ~steps ?warmup_periods ?backend ?krylov ~policy ?budget
-      ?x0 circuit ~period in
+  let pss =
+    Pss.solve ~steps ?warmup_periods ~policy ?budget ?x0 circuit ~period
+  in
   (match cache, x0 with
    | Some (c, prefix), None ->
      Cache.put_floats c (state_key prefix) (Array.copy pss.Pss.states.(0))
    | _ -> ());
-  let lptv =
-    Lptv.build ~domains ?backend ?krylov ~policy ?budget pss ~f_offset
-  in
+  let lptv = Lptv.build ~domains ~policy ?budget pss ~f_offset in
   let sources = Pnoise.mismatch_sources lptv in
   { pss; lptv; sources; domains; policy; budget; cache }
 
@@ -209,13 +208,11 @@ let delay_variation_psd ctx ~output =
    sideband's complex Fourier-coefficient perturbation has magnitude
    |y₁| = A_c·Δf/(4·f_m).  Inverting: σ_f = 4·f_m·√P₁/A_c with
    P₁ = Σ|y₁,i|²σ_i². *)
-let frequency_variation_psd ?(f_offset = 1.0) ?(domains = 1) ?backend ?krylov
-    ?policy ?budget (osc : Pss_osc.t) ~output =
+let frequency_variation_psd ?(f_offset = 1.0) ?(domains = 1) ?policy ?budget
+    (osc : Pss_osc.t) ~output =
   Obs.span "analysis.frequency_variation_psd" @@ fun () ->
   let pss = osc.Pss_osc.pss in
-  let lptv =
-    Lptv.build ~domains ?backend ?krylov ?policy ?budget pss ~f_offset
-  in
+  let lptv = Lptv.build ~domains ?policy ?budget pss ~f_offset in
   let sources = Pnoise.mismatch_sources lptv in
   let sb =
     Pnoise.analyze ~domains ?policy ?budget lptv ~output ~harmonic:1 ~sources
@@ -223,15 +220,12 @@ let frequency_variation_psd ?(f_offset = 1.0) ?(domains = 1) ?backend ?krylov
   let amplitude = Pss.amplitude pss output in
   4.0 *. f_offset *. sqrt (Float.max 0.0 sb.Pnoise.total_psd) /. amplitude
 
-let frequency_variation ?(steps = 200) ?backend ?policy ?budget circuit
-    ~anchor ~f_guess =
+let frequency_variation ?(steps = 200) ?policy ?budget circuit ~anchor
+    ~f_guess =
   Obs.span "analysis.frequency_variation" @@ fun () ->
   let (osc, rep), runtime =
     timed (fun () ->
-        let osc =
-          Pss_osc.solve ~steps ?backend ?policy ?budget circuit ~anchor
-            ~f_guess
-        in
+        let osc = Pss_osc.solve ~steps ?policy ?budget circuit ~anchor ~f_guess in
         (osc, Period_sens.analyze osc))
   in
   let items =

@@ -18,26 +18,22 @@ type pss_context = {
 }
 
 val prepare : ?steps:int -> ?f_offset:float -> ?warmup_periods:int ->
-  ?domains:int -> ?backend:Linsys.backend -> ?krylov:Linsys.krylov ->
-  ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t * string ->
-  Circuit.t -> period:float -> pss_context
+  ?domains:int -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  ?cache:Cache.t * string -> Circuit.t -> period:float -> pss_context
 (** Solve the driven PSS and build the LPTV context with the mismatch
     pseudo-noise sources (offset frequency default 1 Hz).  [domains]
     (default 1) parallelizes the LPTV build and the subsequent PNOISE
     readings over that many OCaml domains; results are bit-identical
-    for any value (docs/parallelism.md).  [backend] selects the linear
-    solver (dense reference / sparse / size-based auto, docs/solver.md)
-    for both the PSS sweep and the LPTV step systems; [krylov] (default
-    {!Linsys.Kauto}) selects the matrix-free treatment of the periodic
-    wrap in both the shooting Newton and the LPTV build
-    (docs/solver.md, "Matrix-free shooting").  [policy] and
+    for any value (docs/parallelism.md).  The linear solver of both the
+    PSS and the LPTV layer follows the circuit size
+    ({!Linsys.solver_for}, docs/solver.md).  [policy] and
     [budget] thread through every phase — PSS, LPTV build, and the
     subsequent readings made with this context (docs/robustness.md);
     expiry raises {!Budget.Timed_out}.
 
     [cache] is a {!Cache} handle plus a key prefix that MUST already
     encode the circuit fingerprint and every knob that shapes the
-    solution (steps, period, f_offset, backend, krylov) — see
+    solution (steps, period, f_offset) — see
     {!Spice_job} for the canonical construction.  With it, the PSS
     solve warm-starts from the cached converged state (re-verifying the
     residual, so a stale entry just falls back to the cold path) and
@@ -70,8 +66,8 @@ val delay_variation_psd :
     {!delay_variation}. *)
 
 val frequency_variation :
-  ?steps:int -> ?backend:Linsys.backend -> ?policy:Retry.policy ->
-  ?budget:Budget.t -> Circuit.t -> anchor:string ->
+  ?steps:int -> ?policy:Retry.policy -> ?budget:Budget.t -> Circuit.t ->
+  anchor:string ->
   f_guess:float -> Report.t * Pss_osc.t
 (** §V-C: oscillator frequency variation via the adjoint period
     sensitivity (the well-conditioned form of eq. (9)). *)
@@ -81,9 +77,8 @@ val crossing_time : pss_context -> output:string -> crossing:crossing -> float
     for Monte-Carlo comparisons). *)
 
 val frequency_variation_psd :
-  ?f_offset:float -> ?domains:int -> ?backend:Linsys.backend ->
-  ?krylov:Linsys.krylov -> ?policy:Retry.policy -> ?budget:Budget.t ->
-  Pss_osc.t -> output:string -> float
+  ?f_offset:float -> ?domains:int -> ?policy:Retry.policy ->
+  ?budget:Budget.t -> Pss_osc.t -> output:string -> float
 (** The paper's literal eq. (9): read σ_f from the oscillator's
     passband pseudo-noise PSD at [f_offset] from the carrier.
 

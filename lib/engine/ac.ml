@@ -19,15 +19,13 @@ type t = {
   repr : repr;
 }
 
-let prepare ?backend ?x_op circuit =
-  let x_op =
-    match x_op with Some x -> x | None -> Dc.solve ?backend circuit
-  in
+let prepare ?x_op circuit =
+  let x_op = match x_op with Some x -> x | None -> Dc.solve circuit in
   let n = Circuit.size circuit in
   let g = Vec.create n in
   let repr =
-    match Linsys.choose (Option.value backend ~default:Linsys.Auto) n with
-    | Linsys.Sparse ->
+    match Linsys.solver_for n with
+    | Linsys.Sparse | Linsys.Krylov ->
       let pat = Stamp.pattern circuit in
       Stamp.eval circuit ~t:0.0 ~x:x_op ~g ~jac:(Some (Stamp.csr_sink pat)) ();
       let c_vals = Array.make (Csr.nnz pat) 0.0 in
@@ -35,7 +33,7 @@ let prepare ?backend ?x_op circuit =
           let p = Csr.index pat i j in
           c_vals.(p) <- c_vals.(p) +. v);
       Asparse { pat; c_vals; plan = None }
-    | Linsys.Dense | Linsys.Auto ->
+    | Linsys.Dense ->
       let g_mat = Mat.create n n in
       Stamp.eval circuit ~t:0.0 ~x:x_op ~g ~jac:(Some (Stamp.dense_sink g_mat))
         ();

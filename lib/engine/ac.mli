@@ -13,10 +13,11 @@ type input =
 type t
 (** A prepared AC context (operating point + factorizable matrices). *)
 
-val prepare : ?backend:Linsys.backend -> ?x_op:Vec.t -> Circuit.t -> t
-(** Linearize at the given (or freshly solved) operating point.
-    [backend] picks the per-frequency solver: dense [Clu] (default for
-    small circuits) or sparse [Csplu] with one shared symbolic plan. *)
+val prepare : ?x_op:Vec.t -> Circuit.t -> t
+(** Linearize at the given (or freshly solved) operating point.  The
+    per-frequency solver follows {!Linsys.solver_for}: dense [Clu] for
+    small circuits, sparse [Csplu] with one shared symbolic plan above
+    {!Linsys.auto_threshold}. *)
 
 val operating_point : t -> Vec.t
 

@@ -55,12 +55,12 @@ let fail circuit singular last_fail what =
    harder damping, then gmin stepping, then source stepping.  Each rung
    is recorded as an Obs span + ladder counter so a recovered deck
    shows in --metrics which rung saved it. *)
-let solve_at ?(options = default_options) ?backend ?(policy = Retry.default)
+let solve_at ?(options = default_options) ?solver ?(policy = Retry.default)
     ?budget ?x0 ~t circuit =
   Obs.span "dc.solve" @@ fun () ->
   Obs.count "dc.solves" 1;
   let n = Circuit.size circuit in
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make ?solver circuit in
   let singular = ref None in
   let last_fail = ref None in
   let attempt =
@@ -149,5 +149,5 @@ let solve_at ?(options = default_options) ?backend ?(policy = Retry.default)
       end
   end
 
-let solve ?options ?backend ?policy ?budget ?x0 circuit =
-  solve_at ?options ?backend ?policy ?budget ?x0 ~t:0.0 circuit
+let solve ?options ?solver ?policy ?budget ?x0 circuit =
+  solve_at ?options ?solver ?policy ?budget ?x0 ~t:0.0 circuit

@@ -18,7 +18,7 @@ val default_options : options
 exception No_convergence of string
 
 val solve :
-  ?options:options -> ?backend:Linsys.backend -> ?policy:Retry.policy ->
+  ?options:options -> ?solver:Linsys.solver -> ?policy:Retry.policy ->
   ?budget:Budget.t -> ?x0:Vec.t -> Circuit.t -> Vec.t
 (** Operating point at t = 0 with all sources at their DC value.
     Raises {!No_convergence} when every ladder rung fails; the message
@@ -27,7 +27,7 @@ val solve :
     and checked between rungs ({!Budget.Timed_out}). *)
 
 val solve_at :
-  ?options:options -> ?backend:Linsys.backend -> ?policy:Retry.policy ->
+  ?options:options -> ?solver:Linsys.solver -> ?policy:Retry.policy ->
   ?budget:Budget.t -> ?x0:Vec.t -> t:float -> Circuit.t -> Vec.t
 (** Operating point with sources evaluated at time [t] (used to
     initialize transient runs that start mid-waveform). *)

@@ -1,43 +1,12 @@
-type backend = Dense | Sparse | Auto
+type solver = Dense | Sparse | Krylov
 
 (* All seed circuits sit well below this (largest is 34 unknowns), so
-   Auto keeps them on the bit-exact dense path; above it the O(n³)
-   factorizations start to dominate and sparse wins. *)
+   they keep the bit-exact dense path; above it the O(n³) factorizations
+   and the O(n²·m) monodromy accumulation dominate, which sparse LU plus
+   the matrix-free periodic wrap exist to kill. *)
 let auto_threshold = 64
 
-let choose backend n =
-  match backend with
-  | Dense -> Dense
-  | Sparse -> Sparse
-  | Auto -> if n >= auto_threshold then Sparse else Dense
-
-let backend_of_string = function
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "auto" -> Some Auto
-  | _ -> None
-
-let backend_to_string = function
-  | Dense -> "dense"
-  | Sparse -> "sparse"
-  | Auto -> "auto"
-
-type krylov = Kauto | Kon | Koff
-
-let krylov_of_string = function
-  | "auto" -> Some Kauto
-  | "on" -> Some Kon
-  | "off" -> Some Koff
-  | _ -> None
-
-let krylov_to_string = function Kauto -> "auto" | Kon -> "on" | Koff -> "off"
-
-(* Kauto rides the same size boundary as the dense/sparse choice: below
-   it the dense monodromy is cheap and bit-exact, above it the O(n²·m)
-   variational accumulation is the build bottleneck the matrix-free
-   path exists to kill. *)
-let use_krylov krylov n =
-  match krylov with Kon -> true | Koff -> false | Kauto -> n >= auto_threshold
+let solver_for n = if n >= auto_threshold then Krylov else Dense
 
 (* process-wide count of krylov→dense fallbacks (GMRES stagnation),
    mirroring [degradation_total] so outcome records can surface both *)
@@ -75,15 +44,15 @@ let degradation_total = Atomic.make 0
 let degradation_count () = Atomic.get degradation_total
 let degraded sys = sys.degraded
 
-let make ?(backend = Auto) circuit =
+let make ?solver circuit =
   let n = Circuit.size circuit in
-  match choose backend n with
-  | Sparse ->
+  match Option.value solver ~default:(solver_for n) with
+  | Sparse | Krylov ->
     Obs.count "linsys.sys.sparse" 1;
     let pat = Stamp.pattern circuit in
     { size = n; repr = Rsparse { pat; plan = None };
       sink = Stamp.csr_sink pat; degraded = false }
-  | Dense | Auto ->
+  | Dense ->
     Obs.count "linsys.sys.dense" 1;
     let m = Mat.create n n in
     { size = n; repr = Rdense m; sink = Stamp.dense_sink m; degraded = false }

@@ -1,38 +1,29 @@
-(** Pluggable linear-solver backend for the MNA engines.
+(** The linear-solver seam of the MNA engines.
 
     Every engine bottoms out in "stamp a Jacobian-shaped matrix,
-    factorize it, solve against it".  [Linsys] makes that storage
-    choice — dense [Mat]/[Lu] (the bit-exact historical reference) or
-    the sparse [Csr]/[Splu] stack — a per-analysis parameter instead of
-    a hard-wired type.  [Auto] picks dense below {!auto_threshold}
-    unknowns, so the seed circuits keep their exact dense arithmetic
-    while large circuits get O(nnz·fill) factorization.  See
-    docs/solver.md. *)
+    factorize it, solve against it".  [Linsys] hides the storage —
+    dense [Mat]/[Lu] (the bit-exact historical reference) or the
+    sparse [Csr]/[Splu] stack — behind one interface, and picks it from
+    the circuit size ({!solver_for}), so the seed circuits keep their
+    exact dense arithmetic while large circuits get O(nnz·fill)
+    factorization.  See docs/solver.md. *)
 
-type backend = Dense | Sparse | Auto
+(** One solver regime per analysis:
+    - [Dense]: dense storage, explicit dense monodromy in the periodic
+      layer ([Pss] shooting, [Lptv.build]);
+    - [Sparse]: sparse LU, explicit dense monodromy;
+    - [Krylov]: sparse LU, matrix-free GMRES periodic wrap (docs/solver.md,
+      "Matrix-free shooting"). *)
+type solver = Dense | Sparse | Krylov
 
 val auto_threshold : int
-(** Size at/above which [Auto] switches to sparse (64). *)
+(** Size at/above which {!solver_for} leaves the dense regime (64). *)
 
-val choose : backend -> int -> backend
-(** Resolve [Auto] against a system size; returns [Dense] or
-    [Sparse]. *)
-
-val backend_of_string : string -> backend option
-val backend_to_string : backend -> string
-
-(** Matrix-free Krylov policy for the periodic boundary-value layer
-    ([Pss] shooting, [Lptv.build]).  [Kon] forces the GMRES path,
-    [Koff] the explicit dense monodromy, [Kauto] switches at
-    {!auto_threshold} like the dense/sparse choice.  See docs/solver.md,
-    "Matrix-free shooting". *)
-type krylov = Kauto | Kon | Koff
-
-val krylov_of_string : string -> krylov option
-val krylov_to_string : krylov -> string
-
-val use_krylov : krylov -> int -> bool
-(** Resolve the policy against a system size. *)
+val solver_for : int -> solver
+(** The regime every analysis uses for a system of that size: [Dense]
+    below {!auto_threshold}, [Krylov] at or above it.  The [?solver]
+    arguments of {!make}, [Dc], [Tran], [Pss] and [Lptv] override it
+    only for parity oracles and kernel benches. *)
 
 val krylov_fallback_count : unit -> int
 (** Process-wide monotonic count of krylov→dense fallbacks (GMRES
@@ -67,8 +58,9 @@ type rsys = {
           sparse to the dense backend — see {!factorize} *)
 }
 
-val make : ?backend:backend -> Circuit.t -> rsys
-(** Build the system storage for a circuit (default [Auto]). *)
+val make : ?solver:solver -> Circuit.t -> rsys
+(** Build the system storage for a circuit: dense for [Dense], sparse
+    for [Sparse] and [Krylov] (default {!solver_for} of its size). *)
 
 val degraded : rsys -> bool
 (** This system's sticky sparse→dense degradation flag — result records

@@ -118,8 +118,8 @@ let a_transpose_apply_into ws ~solvers ~cmul ~k w dst =
   solve_step_transpose_into ws solvers ~k w ws.ct1;
   cmul_tapply_into ws cmul ws.ct1 dst
 
-let build ?(domains = 1) ?backend ?(krylov = Linsys.Kauto)
-    ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
+let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
+    (pss : Pss.t) ~f_offset =
   Obs.span "lptv.build" @@ fun () ->
   let circuit = pss.Pss.circuit in
   let n = Circuit.size circuit in
@@ -129,12 +129,12 @@ let build ?(domains = 1) ?backend ?(krylov = Linsys.Kauto)
   let h = pss.Pss.period /. float_of_int m in
   let omega = 2.0 *. Float.pi *. f_offset in
   let c_over_h = Mat.scale (1.0 /. h) pss.Pss.c_mat in
-  let backend = Linsys.choose (Option.value backend ~default:Linsys.Auto) n in
+  let solver = Option.value solver ~default:(Linsys.solver_for n) in
   Domain_pool.with_pool domains @@ fun pool ->
   let cmul, solvers =
     Obs.span "lptv.factor_steps" @@ fun () ->
-    match backend with
-    | Linsys.Dense | Linsys.Auto ->
+    match solver with
+    | Linsys.Dense ->
       (* factorize M_k = C(1/h + jω) + G(t_k) for k = 1..m — the m
          factorizations are independent; each lane stamps into its own
          g/jac workspace (a shared stamp buffer would be a data race) *)
@@ -167,7 +167,7 @@ let build ?(domains = 1) ?backend ?(krylov = Linsys.Kauto)
         Array.map (function Some c -> c | None -> assert false) clus
       in
       (Cm_dense c_over_h, Sdense clus)
-    | Linsys.Sparse ->
+    | Linsys.Sparse | Linsys.Krylov ->
       let pat = Stamp.pattern circuit in
       let nnz = Csr.nnz pat in
       (* C values aligned position-for-position with the pattern *)
@@ -214,7 +214,7 @@ let build ?(domains = 1) ?backend ?(krylov = Linsys.Kauto)
       let fs = Array.map (function Some f -> f | None -> assert false) fs in
       (Cm_sparse (Csr.of_dense c_over_h), Ssparse fs)
   in
-  if Linsys.use_krylov krylov n then begin
+  if solver = Linsys.Krylov then begin
     (* matrix-free wrap: no Φ(ω), no dense factorization — build cost
        is the factor_steps phase alone, O(m·nnz) on the sparse path *)
     Obs.count "lptv.wrap.krylov" 1;

@@ -24,8 +24,7 @@
 
 type t
 
-val build : ?domains:int -> ?backend:Linsys.backend ->
-  ?krylov:Linsys.krylov -> ?policy:Retry.policy ->
+val build : ?domains:int -> ?solver:Linsys.solver -> ?policy:Retry.policy ->
   ?budget:Budget.t -> Pss.t -> f_offset:float -> t
 (** Linearize around the PSS and factorize all [M_k] plus the periodic
     wrap matrix [I - Φ(ω)].  [f_offset] is the input offset frequency
@@ -35,16 +34,14 @@ val build : ?domains:int -> ?backend:Linsys.backend ->
     monodromy columns on a {!Domain_pool} of that many lanes.  Results
     are bit-identical for any [domains] — see docs/parallelism.md.
 
-    [backend] selects dense [Clu] or sparse [Csplu] step solvers (one
-    shared symbolic plan, per-lane numeric workspaces).  Default
-    {!Linsys.Auto}.
-
-    [krylov] (default {!Linsys.Kauto}) selects the wrap treatment.  On
-    the matrix-free path, [build] never forms [Φ(ω)]: it stops after
-    the step factorizations — O(m·nnz) on the sparse backend — and the
-    wrap solves in {!solve_source}/the adjoints run restarted {!Gmres}
-    where each product [(I - Φ(ω))·v] is one variational sweep through
-    the step solvers.  GMRES stagnation (or an injected ["lptv.gmres"]
+    [solver] (default {!Linsys.solver_for} the circuit size) selects
+    dense [Clu] step solvers ([Dense]) or sparse [Csplu] ones ([Sparse],
+    [Krylov]: one shared symbolic plan, per-lane numeric workspaces),
+    and the wrap treatment.  On the matrix-free [Krylov] path, [build]
+    never forms [Φ(ω)]: it stops after the step factorizations —
+    O(m·nnz) — and the wrap solves in {!solve_source}/the adjoints run
+    restarted {!Gmres} where each product [(I - Φ(ω))·v] is one
+    variational sweep through the step solvers.  GMRES stagnation (or an injected ["lptv.gmres"]
     fault) falls back to the dense factorization, built once and
     bit-identical to the dense path's — counted as
     ["ladder.lptv.gmres_fallback"] and {!Linsys.krylov_fallback_count}.

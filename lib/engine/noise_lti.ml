@@ -27,8 +27,8 @@ let point_of ~freq ~lambda sources =
   let total = Array.fold_left (fun acc c -> acc +. c.psd_at_output) 0.0 contributions in
   { freq; total_psd = total; contributions }
 
-let analyze ?x_op ?backend ?temp circuit ~output ~freqs =
-  let ac = Ac.prepare ?backend ?x_op circuit in
+let analyze ?x_op ?temp circuit ~output ~freqs =
+  let ac = Ac.prepare ?x_op circuit in
   let x = Ac.operating_point ac in
   let physical = Stamp.noise_sources circuit ~x ?temp () in
   Array.map
@@ -43,7 +43,7 @@ let analyze ?x_op ?backend ?temp circuit ~output ~freqs =
       point_of ~freq ~lambda sources)
     freqs
 
-let analyze_sources ?x_op ?backend circuit ~output ~freq ~sources =
-  let ac = Ac.prepare ?backend ?x_op circuit in
+let analyze_sources ?x_op circuit ~output ~freq ~sources =
+  let ac = Ac.prepare ?x_op circuit in
   let lambda = Ac.adjoint ac ~freq ~output in
   point_of ~freq ~lambda sources

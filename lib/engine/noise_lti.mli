@@ -18,13 +18,13 @@ type point = {
 }
 
 val analyze :
-  ?x_op:Vec.t -> ?backend:Linsys.backend -> ?temp:float -> Circuit.t ->
+  ?x_op:Vec.t -> ?temp:float -> Circuit.t ->
   output:string -> freqs:float array -> point array
 (** Output noise PSD at each frequency, with the per-source breakdown
     (physical thermal noise of resistors and MOSFETs). *)
 
 val analyze_sources :
-  ?x_op:Vec.t -> ?backend:Linsys.backend -> Circuit.t -> output:string ->
+  ?x_op:Vec.t -> Circuit.t -> output:string ->
   freq:float -> sources:(string * (int * float) list * float) list -> point
 (** Same machinery for caller-supplied sources:
     [(name, injection, psd)] triples — the hook the pseudo-noise

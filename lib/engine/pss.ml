@@ -137,23 +137,26 @@ let krylov_delta ~sys ~c_mat ~h ~facts ~gws n (r : Vec.t) =
   let stats = Gmres.solve ~apply gws ~b ~x in
   if stats.Gmres.converged then Some (Cvec.real x) else None
 
-let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?backend
-    ?(krylov = Linsys.Kauto) ?(policy = Retry.default) ?budget ?x0
-    ?(warmup_periods = 2) circuit ~period =
+let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
+    ?(policy = Retry.default) ?budget ?x0 ?(warmup_periods = 2) circuit ~period
+    =
   Obs.span "pss.solve" @@ fun () ->
   Obs.count "pss.solves" 1;
+  let solver =
+    Option.value solver ~default:(Linsys.solver_for (Circuit.size circuit))
+  in
   let c_mat = Stamp.c_matrix circuit in
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make ~solver circuit in
   let tran_options = Tran.default_options in
   let x_init =
     match x0 with
     | Some x -> Vec.copy x
     | None ->
-      let dc = Dc.solve ?backend ~policy ?budget circuit in
+      let dc = Dc.solve ~solver ~policy ?budget circuit in
       if warmup_periods <= 0 then dc
       else begin
         let w =
-          Tran.run ?backend ~policy ?budget ~x0:dc ~record:false circuit
+          Tran.run ~solver ~policy ?budget ~x0:dc ~record:false circuit
             ~tstart:0.0
             ~tstop:(period *. float_of_int warmup_periods)
             ~dt:(period /. float_of_int steps)
@@ -166,7 +169,7 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?backend
   (* sticky per-solve flag: a GMRES stagnation drops the rest of this
      shooting run onto the dense rung, so the fallback trajectory is
      bit-identical to a dense-only run *)
-  let use_k = ref (Linsys.use_krylov krylov n) in
+  let use_k = ref (solver = Linsys.Krylov) in
   let gws = lazy (Gmres.make_ws ~n ~restart:Gmres.default_restart) in
   let dense_delta mono r =
     (* Newton on x(T;x0) - x0: (Φ - I)·δ = -r *)

@@ -39,9 +39,9 @@ val sweep :
     the oscillator shooting solver. *)
 
 val solve :
-  ?steps:int -> ?max_iter:int -> ?tol:float -> ?backend:Linsys.backend ->
-  ?krylov:Linsys.krylov -> ?policy:Retry.policy -> ?budget:Budget.t ->
-  ?x0:Vec.t -> ?warmup_periods:int -> Circuit.t -> period:float -> t
+  ?steps:int -> ?max_iter:int -> ?tol:float -> ?solver:Linsys.solver ->
+  ?policy:Retry.policy -> ?budget:Budget.t -> ?x0:Vec.t ->
+  ?warmup_periods:int -> Circuit.t -> period:float -> t
 (** [solve c ~period] computes the PSS.  The initial guess is the DC
     point integrated for [warmup_periods] (default 2) periods.
     [steps] defaults to 200.  A sweep or shooting loop that stalls is
@@ -49,9 +49,11 @@ val solve :
     ["ladder.pss.refine"] counter); [budget] is checked per shooting
     iterate and threads into every inner solve ({!Budget.Timed_out}).
 
-    [krylov] (default {!Linsys.Kauto}) selects the matrix-free shooting
-    Newton: the update solves [(I − Φ)·δ = r] by {!Gmres} where each
-    [Φ·v] is one variational sweep through [step_facts] — no dense
+    [solver] (default {!Linsys.solver_for} the circuit size) is used by
+    the DC start, the warmup and every sweep; [Krylov] selects the
+    matrix-free shooting Newton: the update solves [(I − Φ)·δ = r] by
+    {!Gmres} where each [Φ·v] is one variational sweep through
+    [step_facts] — no dense
     monodromy is accumulated (the ["pss.krylov"] span and
     ["gmres.*"] counters trace it).  GMRES stagnation (or an injected
     ["pss.gmres"] fault) drops the rest of the run onto the dense rung

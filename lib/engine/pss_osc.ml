@@ -9,9 +9,8 @@ exception No_convergence of string
 
 (* free-running transient from a slightly perturbed DC point; returns
    (x at a rising anchor crossing, period estimate) *)
-let warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
-    ~steps =
-  let dc = Dc.solve ?backend ~policy ?budget circuit in
+let warmup ~policy ?budget circuit ~anchor ~f_guess ~settle_periods ~steps =
+  let dc = Dc.solve ~policy ?budget circuit in
   (* kick the anchor node so a symmetric metastable start still
      oscillates *)
   let x0 = Vec.copy dc in
@@ -20,7 +19,7 @@ let warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
   let t_guess = 1.0 /. f_guess in
   let dt = t_guess /. float_of_int steps in
   let w =
-    Tran.run ?backend ~policy ?budget ~x0 circuit ~tstart:0.0
+    Tran.run ~policy ?budget ~x0 circuit ~tstart:0.0
       ~tstop:(settle_periods *. t_guess) ~dt ()
   in
   let v = Waveform.signal w anchor in
@@ -46,14 +45,14 @@ let warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
   (Vec.copy w.Waveform.states.(!idx), period)
 
 let solve ?(steps = 200) ?(max_iter = 60) ?(tol = 1e-7) ?(settle_periods = 20.0)
-    ?backend ?(policy = Retry.default) ?budget circuit ~anchor ~f_guess =
+    ?(policy = Retry.default) ?budget circuit ~anchor ~f_guess =
   Obs.span "pss_osc.solve" @@ fun () ->
   Obs.count "pss_osc.solves" 1;
   let c_mat = Stamp.c_matrix circuit in
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make circuit in
   let x_start, period0 =
     Obs.span "pss_osc.warmup" @@ fun () ->
-    warmup ?backend ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
+    warmup ~policy ?budget circuit ~anchor ~f_guess ~settle_periods
       ~steps
   in
   let n = Vec.dim x_start in

@@ -22,7 +22,7 @@ exception No_convergence of string
 
 val solve :
   ?steps:int -> ?max_iter:int -> ?tol:float -> ?settle_periods:float ->
-  ?backend:Linsys.backend -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  ?policy:Retry.policy -> ?budget:Budget.t ->
   Circuit.t -> anchor:string -> f_guess:float -> t
 (** [solve c ~anchor ~f_guess] finds the limit cycle.  [anchor] is a
     swinging node used both for the period estimate and the phase

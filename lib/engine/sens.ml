@@ -10,13 +10,11 @@ type report = {
   contributions : contribution array;
 }
 
-let sensitivities ?x_op ?backend circuit ~output =
-  let x_op =
-    match x_op with Some x -> x | None -> Dc.solve ?backend circuit
-  in
+let sensitivities ?x_op circuit ~output =
+  let x_op = match x_op with Some x -> x | None -> Dc.solve circuit in
   let n = Circuit.size circuit in
   let g = Vec.create n in
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make circuit in
   (* keep a tiny gmin so purely capacitive nodes stay nonsingular *)
   Stamp.eval circuit ~t:0.0 ~gmin:1e-12 ~x:x_op ~g ~jac:(Some sys.Linsys.sink)
     ();
@@ -32,8 +30,8 @@ let sensitivities ?x_op ?backend circuit ~output =
       (p, s))
     params
 
-let dc_match ?x_op ?backend circuit ~output =
-  let sens = sensitivities ?x_op ?backend circuit ~output in
+let dc_match ?x_op circuit ~output =
+  let sens = sensitivities ?x_op circuit ~output in
   let contributions =
     Array.map
       (fun ((p : Circuit.mismatch_param), s) ->

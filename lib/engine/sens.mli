@@ -19,7 +19,7 @@ type report = {
 }
 
 val sensitivities :
-  ?x_op:Vec.t -> ?backend:Linsys.backend -> Circuit.t -> output:string ->
+  ?x_op:Vec.t -> Circuit.t -> output:string ->
   (Circuit.mismatch_param * float) array
 (** DC sensitivity of a named node voltage to every mismatch parameter
     (adjoint method: one LU solve total).
@@ -31,7 +31,7 @@ val sensitivities :
     the wrong state. *)
 
 val dc_match :
-  ?x_op:Vec.t -> ?backend:Linsys.backend -> Circuit.t -> output:string ->
+  ?x_op:Vec.t -> Circuit.t -> output:string ->
   report
 (** The DC match analysis: σ²(V_out) = Σ (S_i σ_i)². *)
 

@@ -122,17 +122,17 @@ let rec advance ~options ~circuit ~sys ~c_mat ~budget ~policy ~x_prev ~t_prev
       ~t_prev:t_mid ~t_next ~depth:(depth + 1)
   end
 
-let run ?(options = default_options) ?backend ?(policy = Retry.default) ?budget
+let run ?(options = default_options) ?solver ?(policy = Retry.default) ?budget
     ?x0 ?(record = true) circuit ~tstart ~tstop ~dt () =
   if dt <= 0.0 || tstop <= tstart then invalid_arg "Tran.run: bad time grid";
   Obs.span "tran.run" @@ fun () ->
   Obs.count "tran.runs" 1;
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make ?solver circuit in
   let c_mat = Linsys.cmat_of sys (Stamp.c_matrix circuit) in
   let x0 =
     match x0 with
     | Some x -> Vec.copy x
-    | None -> Dc.solve_at ?backend ~policy ?budget ~t:tstart circuit
+    | None -> Dc.solve_at ?solver ~policy ?budget ~t:tstart circuit
   in
   let steps = int_of_float (Float.ceil ((tstop -. tstart) /. dt -. 1e-9)) in
   let times = ref [ tstart ] in

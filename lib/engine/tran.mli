@@ -23,7 +23,7 @@ exception Step_failed of float
 (** Raised with the failing time when step halving bottoms out. *)
 
 val run :
-  ?options:options -> ?backend:Linsys.backend -> ?policy:Retry.policy ->
+  ?options:options -> ?solver:Linsys.solver -> ?policy:Retry.policy ->
   ?budget:Budget.t -> ?x0:Vec.t -> ?record:bool ->
   Circuit.t -> tstart:float -> tstop:float -> dt:float -> unit -> Waveform.t
 (** [run c ~tstart ~tstop ~dt ()] integrates and records every accepted

@@ -1,13 +1,13 @@
-let run ?(seed = 1) ?temp ?(options = Tran.default_options) ?backend ?x0
-    circuit ~tstart ~tstop ~dt () =
+let run ?(seed = 1) ?temp ?(options = Tran.default_options) ?x0 circuit
+    ~tstart ~tstop ~dt () =
   if dt <= 0.0 || tstop <= tstart then invalid_arg "Tran_noise.run";
   let rng = Rng.create seed in
-  let sys = Linsys.make ?backend circuit in
+  let sys = Linsys.make circuit in
   let c_mat = Linsys.cmat_of sys (Stamp.c_matrix circuit) in
   let x0 =
     match x0 with
     | Some x -> Vec.copy x
-    | None -> Dc.solve_at ?backend ~t:tstart circuit
+    | None -> Dc.solve_at ~t:tstart circuit
   in
   let steps = int_of_float (Float.ceil ((tstop -. tstart) /. dt -. 1e-9)) in
   let times = Array.make (steps + 1) tstart in

@@ -9,8 +9,8 @@
     which is exactly the cost the LPTV analysis avoids. *)
 
 val run :
-  ?seed:int -> ?temp:float -> ?options:Tran.options ->
-  ?backend:Linsys.backend -> ?x0:Vec.t -> Circuit.t -> tstart:float ->
+  ?seed:int -> ?temp:float -> ?options:Tran.options -> ?x0:Vec.t ->
+  Circuit.t -> tstart:float ->
   tstop:float -> dt:float -> unit -> Waveform.t
 (** One noisy transient trajectory. *)
 

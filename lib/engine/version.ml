@@ -25,9 +25,7 @@ let ocaml = Sys.ocaml_version
    response might need to reproduce a result *)
 let knob_defaults () =
   [
-    ("backend", "auto");
     ("linsys.auto_threshold", string_of_int Linsys.auto_threshold);
-    ("krylov", "auto");
     ("gmres.restart", string_of_int Gmres.default_restart);
     ("pss.steps", "200");
     ("pss.tol", "1e-7");
@@ -35,11 +33,26 @@ let knob_defaults () =
   ]
 
 (* one line, safe to embed in JSON (no quotes or control characters
-   appear in any component) *)
+   appear in any component).  Built once per process: every job outcome
+   and serve response carries it, and the git subprocess costs
+   milliseconds.  An atomic rather than a lazy because serve lanes may
+   ask for it from several domains at once; a lost race only computes
+   the same string twice, and every caller gets the stored one. *)
+let provenance_memo = Atomic.make None
+
 let provenance () =
-  let git = match git_describe () with Some d -> " (" ^ d ^ ")" | None -> "" in
-  Printf.sprintf "varsim/%s%s ocaml/%s fingerprint/%s" version git ocaml
-    Fingerprint.scheme_version
+  match Atomic.get provenance_memo with
+  | Some p -> p
+  | None ->
+    let git =
+      match git_describe () with Some d -> " (" ^ d ^ ")" | None -> ""
+    in
+    let p =
+      Printf.sprintf "varsim/%s%s ocaml/%s fingerprint/%s" version git ocaml
+        Fingerprint.scheme_version
+    in
+    ignore (Atomic.compare_and_set provenance_memo None (Some p) : bool);
+    Option.get (Atomic.get provenance_memo)
 
 let pp ppf () =
   Format.fprintf ppf "@[<v>varsim %s@," version;

@@ -52,6 +52,14 @@ let remotes : span_tree list ref = ref [] (* merged worker trees, under mu *)
 type ev = { ev_name : string; ev_tid : int; ev_ts : float; ev_dur : float }
 
 let events : ev list ref = ref [] (* newest-first *)
+
+(* whether span/lane slices are kept for the Chrome trace: a long-lived
+   process that will never export one (the serve daemon without
+   --trace) must not grow [events] with every request it serves *)
+let timeline_on = Atomic.make true
+
+(* under mu *)
+let push_event ev = if Atomic.get timeline_on then events := ev :: !events
 let tracks : (int, string) Hashtbl.t = Hashtbl.create 8
 let extern_ids : (string, int) Hashtbl.t = Hashtbl.create 8
 
@@ -103,8 +111,9 @@ let epoch () =
   Mutex.unlock mu;
   e
 
-let enable () =
+let enable ?(timeline = true) () =
   reset ();
+  Atomic.set timeline_on timeline;
   Atomic.set owner (Domain.self () :> int);
   (* the owner's track is created eagerly so the trace always has a
      named "main" track even if no lane work happens *)
@@ -151,10 +160,9 @@ let emit_span_event c name ~ts ~dur =
   Mutex.lock mu;
   if tid <> 0 && not (Hashtbl.mem tracks tid) then
     Hashtbl.replace tracks tid (Printf.sprintf "domain %d" c.cid);
-  events :=
+  push_event
     { ev_name = name; ev_tid = tid; ev_ts = (ts -. !t_epoch) *. 1e6;
-      ev_dur = dur *. 1e6 }
-    :: !events;
+      ev_dur = dur *. 1e6 };
   Mutex.unlock mu
 
 let span_end name =
@@ -349,10 +357,9 @@ let extern_track ~key ~name =
 
 let extern_slice ~tid ~name ~ts_abs ~dur_s =
   Mutex.lock mu;
-  events :=
+  push_event
     { ev_name = name; ev_tid = tid; ev_ts = (ts_abs -. !t_epoch) *. 1e6;
-      ev_dur = dur_s *. 1e6 }
-    :: !events;
+      ev_dur = dur_s *. 1e6 };
   Mutex.unlock mu
 
 (* ------------------------------------------------------------ lane hooks *)
@@ -386,10 +393,9 @@ let lane_slice ~lane ~name ~t0 ~t1 =
     Mutex.lock mu;
     if not (Hashtbl.mem tracks tid) then
       Hashtbl.replace tracks tid (Printf.sprintf "lane %d" lane);
-    events :=
+    push_event
       { ev_name = name; ev_tid = tid; ev_ts = (t0 -. !t_epoch) *. 1e6;
-        ev_dur = (t1 -. t0) *. 1e6 }
-      :: !events;
+        ev_dur = (t1 -. t0) *. 1e6 };
     Mutex.unlock mu
   end
 

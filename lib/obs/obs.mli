@@ -32,9 +32,14 @@ val debug : bool ref
     misuse is ignored so a release build can never corrupt the tree. *)
 
 val enabled : unit -> bool
-val enable : unit -> unit
+val enable : ?timeline:bool -> unit -> unit
 (** Reset all recorded state and start recording.  The calling domain
-    becomes the owner of the exported span tree. *)
+    becomes the owner of the exported span tree.  [timeline] (default
+    true) keeps every span and lane slice for {!trace_json}; without
+    it spans still aggregate into the tree, counters and histograms,
+    but the trace carries tracks and no slices — for a long-lived
+    process that never exports a trace, whose slices would otherwise
+    grow without bound. *)
 
 val disable : unit -> unit
 (** Stop recording.  Already-recorded state stays exportable. *)

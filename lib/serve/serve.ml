@@ -28,6 +28,7 @@ type config = {
   cache : Cache.t option;
   default_budget_s : float option;
   log_path : string option;  (* JSON-lines event log, one record/request *)
+  trace : bool;  (* keep span slices for a trace export after the drain *)
 }
 
 type job = {
@@ -37,8 +38,6 @@ type job = {
   deck_text : string;
   steps : int option;
   f_offset : float option;
-  backend : Linsys.backend option;
-  krylov : Linsys.krylov option;
   budget_s : float option;
   domains : int option;
   events : bool;  (* stream phase events back while computing *)
@@ -251,41 +250,20 @@ let parse_request line =
     | "run" -> (
       match str "deck" with
       | None -> Error "run request without a \"deck\" field"
-      | Some deck_text -> (
-        let backend =
-          match str "backend" with
-          | None -> Ok None
-          | Some s -> (
-            match Linsys.backend_of_string s with
-            | Some b -> Ok (Some b)
-            | None -> Error ("bad backend " ^ s))
-        in
-        let krylov =
-          match str "krylov" with
-          | None -> Ok None
-          | Some s -> (
-            match Linsys.krylov_of_string s with
-            | Some k -> Ok (Some k)
-            | None -> Error ("bad krylov " ^ s))
-        in
-        match backend, krylov with
-        | Error m, _ | _, Error m -> Error m
-        | Ok backend, Ok krylov ->
-          Ok
-            (`Run
-               {
-                 jid = Option.value (str "id") ~default:"";
-                 req = 0;  (* stamped by handle_line *)
-                 enqueued_at = 0.0;
-                 deck_text;
-                 steps = Option.map int_of_float (num "steps");
-                 f_offset = num "f_offset";
-                 backend;
-                 krylov;
-                 budget_s = num "budget_s";
-                 domains = Option.map int_of_float (num "domains");
-                 events = flag "events";
-               })))
+      | Some deck_text ->
+        Ok
+          (`Run
+             {
+               jid = Option.value (str "id") ~default:"";
+               req = 0;  (* stamped by handle_line *)
+               enqueued_at = 0.0;
+               deck_text;
+               steps = Option.map int_of_float (num "steps");
+               f_offset = num "f_offset";
+               budget_s = num "budget_s";
+               domains = Option.map int_of_float (num "domains");
+               events = flag "events";
+             }))
     | op -> Error ("unknown op " ^ op))
 
 (* ------------------------------------------------------------------ *)
@@ -387,8 +365,8 @@ let run_job st conn job =
     let req =
       Spice_job.request
         ~domains:(Option.value job.domains ~default:st.cfg.job_domains)
-        ?steps:job.steps ?f_offset:job.f_offset ?backend:job.backend
-        ?krylov:job.krylov ?budget ?cache:st.cfg.cache deck
+        ?steps:job.steps ?f_offset:job.f_offset ?budget ?cache:st.cfg.cache
+        deck
     in
     let out =
       with_progress conn job (fun () ->
@@ -566,15 +544,15 @@ let bind_socket path =
   fd
 
 let default_config ?(lanes = 2) ?(job_domains = 1) ?cache ?default_budget_s
-    ?log_path socket_path =
-  { socket_path; lanes; job_domains; cache; default_budget_s; log_path }
+    ?log_path ?(trace = false) socket_path =
+  { socket_path; lanes; job_domains; cache; default_budget_s; log_path; trace }
 
 let run cfg =
   Atomic.set stop_requested false;
   let listen_fd = bind_socket cfg.socket_path in
   (* counters (cache hit/miss, serve.jobs) must tick even when no
      --metrics file was requested: the stats op reads them live *)
-  Obs.enable ();
+  Obs.enable ~timeline:cfg.trace ();
   Obs.set_progress_all (Some progress_callback);
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
@@ -675,8 +653,8 @@ let run cfg =
 (* ------------------------------------------------------------------ *)
 (* client side: varsim submit *)
 
-let request_json ?(id = "") ?steps ?f_offset ?backend ?krylov ?budget_s
-    ?domains ?(events = false) deck_text =
+let request_json ?(id = "") ?steps ?f_offset ?budget_s ?domains
+    ?(events = false) deck_text =
   let b = Buffer.create (String.length deck_text + 128) in
   Buffer.add_string b
     (Printf.sprintf "{\"op\":\"run\",\"id\":\"%s\",\"deck\":\"%s\"" (esc id)
@@ -686,16 +664,6 @@ let request_json ?(id = "") ?steps ?f_offset ?backend ?krylov ?budget_s
    | None -> ());
   (match f_offset with
    | Some f -> Buffer.add_string b (Printf.sprintf ",\"f_offset\":%.17g" f)
-   | None -> ());
-  (match backend with
-   | Some bk ->
-     Buffer.add_string b
-       (Printf.sprintf ",\"backend\":\"%s\"" (Linsys.backend_to_string bk))
-   | None -> ());
-  (match krylov with
-   | Some k ->
-     Buffer.add_string b
-       (Printf.sprintf ",\"krylov\":\"%s\"" (Linsys.krylov_to_string k))
    | None -> ());
   (match budget_s with
    | Some s -> Buffer.add_string b (Printf.sprintf ",\"budget_s\":%.17g" s)

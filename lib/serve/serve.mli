@@ -38,13 +38,18 @@ type config = {
   cache : Cache.t option;  (** shared result/state cache *)
   default_budget_s : float option;  (** per-request default wall budget *)
   log_path : string option;  (** JSON-lines event log (append) *)
+  trace : bool;
+      (** keep every span slice for a Chrome trace written after the
+          drain; off, the daemon's memory stays flat however many
+          requests it serves *)
 }
 
 val default_config :
   ?lanes:int -> ?job_domains:int -> ?cache:Cache.t ->
-  ?default_budget_s:float -> ?log_path:string -> string -> config
+  ?default_budget_s:float -> ?log_path:string -> ?trace:bool -> string ->
+  config
 (** [default_config socket_path] — 2 lanes, 1 domain per job, no cache,
-    no default budget, no event log. *)
+    no default budget, no event log, no trace slices. *)
 
 val run : config -> unit
 (** Bind, serve, block until a SIGTERM/SIGINT drain completes.  Raises
@@ -55,9 +60,8 @@ val run : config -> unit
 (** {1 Client side} *)
 
 val request_json :
-  ?id:string -> ?steps:int -> ?f_offset:float -> ?backend:Linsys.backend ->
-  ?krylov:Linsys.krylov -> ?budget_s:float -> ?domains:int ->
-  ?events:bool -> string -> string
+  ?id:string -> ?steps:int -> ?f_offset:float -> ?budget_s:float ->
+  ?domains:int -> ?events:bool -> string -> string
 (** [request_json deck_text] builds a one-line run request.  [events]
     asks the server to stream phase events while the job runs. *)
 

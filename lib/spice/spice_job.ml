@@ -4,7 +4,7 @@
 
    wrapped into one [submit] call that the CLI, the sweep workers and
    the serve daemon all share.  A job's identity is its fingerprint —
-   deck content plus the engine knobs that shape results — and the
+   deck content plus the knobs that shape results — and the
    rendered bytes are cached under it, so an identical deck submitted
    twice produces byte-identical output with the warm run skipping all
    plan/PSS work. *)
@@ -14,8 +14,6 @@ type request = {
   domains : int;
   steps : int option;
   f_offset : float option;
-  backend : Linsys.backend option;
-  krylov : Linsys.krylov option;
   policy : Retry.policy;
   budget : Budget.t option;
   cache : Cache.t option;
@@ -31,25 +29,21 @@ type outcome = {
   provenance : string;
 }
 
-let request ?(domains = 1) ?steps ?f_offset ?backend ?krylov
-    ?(policy = Retry.default) ?budget ?cache deck =
-  { deck; domains; steps; f_offset; backend; krylov; policy; budget; cache }
+let request ?(domains = 1) ?steps ?f_offset ?(policy = Retry.default) ?budget
+    ?cache deck =
+  { deck; domains; steps; f_offset; policy; budget; cache }
 
 (* [domains] is excluded: lane count is bit-identical by design
    (docs/parallelism.md).  [policy]/[budget] are excluded: they bound
    how long a run may take, not what a completed run prints — a cached
-   result is by construction one that completed. *)
+   result is by construction one that completed.  The linear-solver
+   regime needs no slot: it is a function of the circuit size, which
+   the deck fingerprint already pins. *)
 let fingerprint req =
   Fingerprint.strings "job"
     [ Spice_elab.fingerprint req.deck;
       string_of_int (Option.value req.steps ~default:200);
-      Printf.sprintf "%.17g" (Option.value req.f_offset ~default:1.0);
-      (match req.backend with
-       | Some b -> Linsys.backend_to_string b
-       | None -> "-");
-      (match req.krylov with
-       | Some k -> Linsys.krylov_to_string k
-       | None -> "-") ]
+      Printf.sprintf "%.17g" (Option.value req.f_offset ~default:1.0) ]
 
 (* A run under engine-fault injection may print degraded output
    (resilience summaries, retried trajectories); replaying those bytes
@@ -70,8 +64,7 @@ let compute req =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Spice_run.run ~domains:req.domains ?steps:req.steps ?f_offset:req.f_offset
-    ?backend:req.backend ?krylov:req.krylov ~policy:req.policy
-    ?budget:req.budget ?cache:req.cache ppf req.deck;
+    ~policy:req.policy ?budget:req.budget ?cache:req.cache ppf req.deck;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 

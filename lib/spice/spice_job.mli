@@ -14,8 +14,6 @@ type request = {
   domains : int;
   steps : int option;  (** PSS grid steps (default 200) *)
   f_offset : float option;  (** pseudo-noise offset (default 1 Hz) *)
-  backend : Linsys.backend option;
-  krylov : Linsys.krylov option;
   policy : Retry.policy;
   budget : Budget.t option;
   cache : Cache.t option;
@@ -33,18 +31,18 @@ type outcome = {
 
 val request :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?backend:Linsys.backend -> ?krylov:Linsys.krylov ->
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Spice_elab.t -> request
-(** Build a request with the CLI's defaults (1 domain, auto backend and
-    krylov, default retry policy, no budget, no cache). *)
+(** Build a request with the CLI's defaults (1 domain, default retry
+    policy, no budget, no cache). *)
 
 val fingerprint : request -> string
 (** {!Spice_elab.fingerprint} of the deck plus the result-shaping knobs
-    ([steps], [f_offset], [backend], [krylov]).  [domains] is excluded
-    (lane counts are bit-identical by design); [policy]/[budget] are
-    excluded (they bound how long a run may take, not what a completed
-    run prints). *)
+    ([steps], [f_offset]).  [domains] is excluded (lane counts are
+    bit-identical by design); [policy]/[budget] are excluded (they
+    bound how long a run may take, not what a completed run prints).
+    The linear solver follows the circuit size, so one deck has one
+    fingerprint whichever entry point submits it. *)
 
 val submit : request -> outcome
 (** Run the job (or replay its cached result).  Engine exceptions

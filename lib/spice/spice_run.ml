@@ -30,46 +30,37 @@ type result =
 
 (* Key prefix for the engine-state cache entries of one PSS context:
    the circuit content plus every knob that shapes the solution
-   (period, grid steps, offset frequency, backend, krylov).  The
-   remaining Analysis.prepare defaults (Pss tol = 1e-7, warmup) are
-   constants of the fp1 scheme — parameterizing any of them means
-   adding it here and bumping {!Fingerprint.scheme_version}. *)
-let ctx_prefix circuit ?backend ?krylov ~steps ~f_offset ~period () =
+   (period, grid steps, offset frequency).  The linear-solver regime
+   follows from the circuit size, and the remaining Analysis.prepare
+   defaults (Pss tol = 1e-7, warmup) are constants of the fp2 scheme —
+   parameterizing any of them means adding it here and bumping
+   {!Fingerprint.scheme_version}. *)
+let ctx_prefix circuit ~steps ~f_offset ~period =
   Fingerprint.strings "pssctx"
     [ Circuit.fingerprint circuit;
       Printf.sprintf "%.17g" period;
       string_of_int steps;
-      Printf.sprintf "%.17g" f_offset;
-      (match backend with
-       | Some b -> Linsys.backend_to_string b
-       | None -> "-");
-      (match krylov with
-       | Some k -> Linsys.krylov_to_string k
-       | None -> "-") ]
+      Printf.sprintf "%.17g" f_offset ]
 
 (* [policy]/[budget] thread into the nonlinear engines (DC, transient,
    PSS, the mismatch analyses, Monte Carlo).  The LTI small-signal
    analyses (.ac, .noise, .dcmatch sensitivities) are single direct
    solves with no iteration to bound and stay untouched. *)
-let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?backend ?krylov
-    ?policy ?budget ?cache (deck : Spice_elab.t) analysis =
+let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?policy ?budget
+    ?cache (deck : Spice_elab.t) analysis =
   Obs.span (span_name analysis) @@ fun () ->
   Obs.count "spice.analyses" 1;
   let circuit = deck.Spice_elab.circuit in
   let ctx_cache ~period =
     match cache with
     | None -> None
-    | Some c ->
-      Some (c, ctx_prefix circuit ?backend ?krylov ~steps ~f_offset ~period ())
+    | Some c -> Some (c, ctx_prefix circuit ~steps ~f_offset ~period)
   in
   match analysis with
-  | Spice_ast.A_op -> R_op (Dc.solve ?backend ?policy ?budget circuit)
-  | Spice_ast.A_dc_match { output } ->
-    R_dc_match (Sens.dc_match ?backend circuit ~output)
+  | Spice_ast.A_op -> R_op (Dc.solve ?policy ?budget circuit)
+  | Spice_ast.A_dc_match { output } -> R_dc_match (Sens.dc_match circuit ~output)
   | Spice_ast.A_tran { dt; tstop; nodes } ->
-    let w =
-      Tran.run ?backend ?policy ?budget circuit ~tstart:0.0 ~tstop ~dt ()
-    in
+    let w = Tran.run ?policy ?budget circuit ~tstart:0.0 ~tstop ~dt () in
     let nodes =
       match nodes with
       | [] ->
@@ -79,26 +70,26 @@ let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?backend ?krylov
     in
     R_tran (w, nodes)
   | Spice_ast.A_ac { freqs; input; output } ->
-    let ac = Ac.prepare ?backend circuit in
+    let ac = Ac.prepare circuit in
     R_ac
       (List.map
          (fun f -> (f, Ac.transfer ac ~freq:f ~input:(Ac.Vsource input) ~output))
          freqs)
   | Spice_ast.A_noise { output; freqs } ->
     R_noise
-      (Noise_lti.analyze ?backend circuit ~output ~freqs:(Array.of_list freqs))
+      (Noise_lti.analyze circuit ~output ~freqs:(Array.of_list freqs))
   | Spice_ast.A_pss { period } ->
-    R_pss (Pss.solve ~steps ?backend ?krylov ?policy ?budget circuit ~period)
+    R_pss (Pss.solve ~steps ?policy ?budget circuit ~period)
   | Spice_ast.A_mismatch_dc { output; period } ->
     let ctx =
-      Analysis.prepare ~steps ~f_offset ~domains ?backend ?krylov ?policy
-        ?budget ?cache:(ctx_cache ~period) circuit ~period
+      Analysis.prepare ~steps ~f_offset ~domains ?policy ?budget
+        ?cache:(ctx_cache ~period) circuit ~period
     in
     R_report (Analysis.dc_variation ctx ~output)
   | Spice_ast.A_mismatch_delay { output; period; threshold; after; rising } ->
     let ctx =
-      Analysis.prepare ~steps ~f_offset ~domains ?backend ?krylov ?policy
-        ?budget ?cache:(ctx_cache ~period) circuit ~period
+      Analysis.prepare ~steps ~f_offset ~domains ?policy ?budget
+        ?cache:(ctx_cache ~period) circuit ~period
     in
     let crossing =
       {
@@ -110,8 +101,8 @@ let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?backend ?krylov
     R_report (Analysis.delay_variation ctx ~output ~crossing)
   | Spice_ast.A_mismatch_freq { anchor; f_guess } ->
     let rep, osc =
-      Analysis.frequency_variation ~steps ?backend ?policy ?budget circuit
-        ~anchor ~f_guess
+      Analysis.frequency_variation ~steps ?policy ?budget circuit ~anchor
+        ~f_guess
     in
     R_freq (rep, osc)
   | Spice_ast.A_monte_carlo { n; seed } ->
@@ -119,7 +110,7 @@ let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?backend ?krylov
     R_mc
       (Monte_carlo.run ~seed ?budget ~n ~circuit
          ~measure:(fun c ->
-           let x = Dc.solve ?backend ?policy c in
+           let x = Dc.solve ?policy c in
            Array.init (Circuit.num_nodes c) (fun i -> x.(i)))
          ())
   | Spice_ast.A_yield
@@ -134,20 +125,18 @@ let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?backend ?krylov
        the shift model and the warm start of every sample's solve —
        the warm start keeps multi-stable cells (SRAM, latches) on the
        nominal equilibrium branch across mismatch perturbations *)
-    let x_op = Dc.solve ?backend ?policy ?budget circuit in
+    let x_op = Dc.solve ?policy ?budget circuit in
     let nominal = Circuit.voltage circuit x_op output in
     let model =
       Yield.model_of_sens
         ~metric:(Printf.sprintf "v(%s)" output)
         ~nominal circuit
-        (Sens.sensitivities ~x_op ?backend circuit ~output)
+        (Sens.sensitivities ~x_op circuit ~output)
     in
     let shift_v =
       if shift then Some (Yield.shift_of_model ~scale model ~spec) else None
     in
-    let measure c =
-      Circuit.voltage c (Dc.solve ?backend ?policy ~x0:x_op c) output
-    in
+    let measure c = Circuit.voltage c (Dc.solve ?policy ~x0:x_op c) output in
     let r =
       Yield.estimate ~seed ~domains ~batch ~target_fom ?budget ?shift:shift_v
         ~linear:model ~divergence_factor:divergence ~n ~spec ~circuit ~measure
@@ -230,14 +219,12 @@ let render ppf (deck : Spice_elab.t) analysis result =
     Format.fprintf ppf ".yield v(%s):@.%s" output (Yield.render r)
   | _ -> invalid_arg "Spice_run.render: result does not match the analysis"
 
-let run_analysis ?domains ?steps ?f_offset ?backend ?krylov ?policy ?budget
-    ?cache ppf (deck : Spice_elab.t) analysis =
+let run_analysis ?domains ?steps ?f_offset ?policy ?budget ?cache ppf
+    (deck : Spice_elab.t) analysis =
   render ppf deck analysis
-    (execute ?domains ?steps ?f_offset ?backend ?krylov ?policy ?budget ?cache
-       deck analysis)
+    (execute ?domains ?steps ?f_offset ?policy ?budget ?cache deck analysis)
 
-let run ?domains ?steps ?f_offset ?backend ?krylov ?policy ?budget ?cache ppf
-    deck =
+let run ?domains ?steps ?f_offset ?policy ?budget ?cache ppf deck =
   if deck.Spice_elab.title <> "" then
     Format.fprintf ppf "* %s@.@." deck.Spice_elab.title;
   (* end-of-run degradation summary: sample the process-wide fallback
@@ -249,13 +236,13 @@ let run ?domains ?steps ?f_offset ?backend ?krylov ?policy ?budget ?cache ppf
   let k0 = Linsys.krylov_fallback_count () in
   (match deck.Spice_elab.analyses with
    | [] ->
-     run_analysis ?domains ?steps ?f_offset ?backend ?krylov ?policy ?budget
-       ?cache ppf deck Spice_ast.A_op
+     run_analysis ?domains ?steps ?f_offset ?policy ?budget ?cache ppf deck
+       Spice_ast.A_op
    | analyses ->
      List.iter
        (fun (_ln, a) ->
-         run_analysis ?domains ?steps ?f_offset ?backend ?krylov ?policy
-           ?budget ?cache ppf deck a)
+         run_analysis ?domains ?steps ?f_offset ?policy ?budget ?cache ppf
+           deck a)
        analyses);
   let degradations = Linsys.degradation_count () - d0 in
   let krylov_fallbacks = Linsys.krylov_fallback_count () - k0 in

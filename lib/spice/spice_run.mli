@@ -22,13 +22,12 @@ type result =
 
 val execute :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?backend:Linsys.backend -> ?krylov:Linsys.krylov ->
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Spice_elab.t -> Spice_ast.analysis -> result
 (** Run one analysis card against the deck's circuit, no printing.
-    [domains] parallelizes the LPTV/PNOISE passes; [backend] picks the
-    linear solver (dense / sparse / auto); [krylov] the matrix-free
-    wrap policy (auto / on / off); [policy] and [budget] thread into
+    [domains] parallelizes the LPTV/PNOISE passes (the linear solver
+    follows the circuit size, {!Linsys.solver_for}); [policy] and
+    [budget] thread into
     the nonlinear engines (docs/robustness.md) — the LTI analyses
     ([.ac], [.noise], [.dcmatch]) are direct solves and ignore them.
     [cache] warm-starts the mismatch cards' PSS/PNOISE phases from
@@ -42,14 +41,12 @@ val render :
 
 val run_analysis :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?backend:Linsys.backend -> ?krylov:Linsys.krylov ->
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Format.formatter -> Spice_elab.t -> Spice_ast.analysis -> unit
 (** [execute] + [render]. *)
 
 val run :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?backend:Linsys.backend -> ?krylov:Linsys.krylov ->
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Format.formatter -> Spice_elab.t -> unit
 (** Run every card in deck order.  A deck with no cards gets an [.op].

@@ -1,6 +1,4 @@
-type value = Num of float | Sym of string
-
-type axis = { axis_name : string; values : value list }
+type axis = { axis_name : string; values : float list }
 
 type target = Deck of string | Cell of string
 
@@ -12,17 +10,15 @@ type t = {
   output : string;
   period : float option;
   steps : int option;
-  backend : Linsys.backend;
-  krylov : Linsys.krylov;
   axes : axis list;
   point_budget_s : float option;
   max_retries : int;
   retry_backoff_s : float;
 }
 
-type point = { id : int; assigns : (string * value) list }
+type point = { id : int; assigns : (string * float) list }
 
-let engine_axis_names = [ "steps"; "period"; "backend"; "krylov" ]
+let engine_axis_names = [ "steps"; "period" ]
 
 let cell_param_names = function
   | "mirror" -> [ "i_ref"; "w"; "l"; "r_load"; "vdd" ]
@@ -35,9 +31,7 @@ let cell_param_names = function
 
 let known_cells = [ "mirror"; "comparator"; "ringosc" ]
 
-let value_to_string = function
-  | Num v -> Printf.sprintf "%.17g" v
-  | Sym s -> s
+let value_to_string v = Printf.sprintf "%.17g" v
 
 (* ------------------------------------------------------------------ *)
 (* parsing *)
@@ -55,21 +49,7 @@ let analysis_to_string = function
   | Mismatch -> "mismatch"
   | Freq -> "freq"
 
-(* one axis value: a SPICE-suffixed number or a bare symbol *)
-let parse_value tok =
-  match Spice_lexer.parse_number tok with
-  | Some v -> Some (Num v)
-  | None ->
-    let sym_ok =
-      tok <> ""
-      && String.for_all
-           (fun c ->
-             (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_')
-           tok
-    in
-    if sym_ok then Some (Sym tok) else None
-
-(* [lo:hi:n] linear ramp, or a comma list of values *)
+(* [lo:hi:n] linear ramp, or a comma list of SPICE-suffixed numbers *)
 let parse_axis_values s =
   match String.split_on_char ':' (String.trim s) with
   | [ lo; hi; n ] -> begin
@@ -81,8 +61,8 @@ let parse_axis_values s =
     | Some lo, Some hi, Some n when n >= 2 ->
       Ok
         (List.init n (fun i ->
-             Num (lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1)))))
-    | Some lo, _, Some 1 -> Ok [ Num lo ]
+             lo +. ((hi -. lo) *. float_of_int i /. float_of_int (n - 1))))
+    | Some lo, _, Some 1 -> Ok [ lo ]
     | _ -> Error "expected lo:hi:n with n >= 1"
   end
   | _ ->
@@ -95,7 +75,7 @@ let parse_axis_values s =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | t :: rest -> (
-          match parse_value t with
+          match Spice_lexer.parse_number t with
           | Some v -> go (v :: acc) rest
           | None -> Error (Printf.sprintf "bad value %S" t))
       in
@@ -107,8 +87,6 @@ type partial = {
   mutable p_output : string option;
   mutable p_period : float option;
   mutable p_steps : int option;
-  mutable p_backend : Linsys.backend;
-  mutable p_krylov : Linsys.krylov;
   mutable p_axes : axis list;  (* reversed *)
   mutable p_point_budget : float option;
   mutable p_max_retries : int;
@@ -122,8 +100,6 @@ let empty_partial () =
     p_output = None;
     p_period = None;
     p_steps = None;
-    p_backend = Linsys.Auto;
-    p_krylov = Linsys.Kauto;
     p_axes = [];
     p_point_budget = None;
     p_max_retries = 2;
@@ -215,20 +191,6 @@ let parse_line p ln line =
            Ok ()
          | _ -> err "steps: expected an integer >= 2"
        end
-       | "backend", _ -> begin
-         match Linsys.backend_of_string v with
-         | Some b ->
-           p.p_backend <- b;
-           Ok ()
-         | None -> err "backend: expected dense, sparse or auto"
-       end
-       | "krylov", _ -> begin
-         match Linsys.krylov_of_string v with
-         | Some k ->
-           p.p_krylov <- k;
-           Ok ()
-         | None -> err "krylov: expected auto, on or off"
-       end
        | "point-budget", _ -> begin
          match positive_number v with
          | Some x ->
@@ -306,8 +268,6 @@ let validate p =
               output;
               period;
               steps = p.p_steps;
-              backend = p.p_backend;
-              krylov = p.p_krylov;
               axes;
               point_budget_s = p.p_point_budget;
               max_retries = p.p_max_retries;
@@ -383,12 +343,13 @@ let target_fingerprint = function
        Hashtbl.add deck_fp_memo path fp;
        fp)
 
-(* hash scheme v2 ("phv2", docs/robustness.md): built on the canonical
-   Fingerprint accumulator shared with the job pipeline.  Journals
-   written by the v1 ad-hoc scheme no longer match — resume treats
-   their points as not-yet-done and recomputes, which is safe. *)
+(* hash scheme v3 ("phv3", docs/robustness.md): built on the canonical
+   Fingerprint accumulator shared with the job pipeline; v3 dropped the
+   linear-solver knobs, which the circuit size now decides.  Journals
+   written by an older scheme no longer match — resume treats their
+   points as not-yet-done and recomputes, which is safe. *)
 let point_hash spec point =
-  let fp = Fingerprint.create "phv2" in
+  let fp = Fingerprint.create "phv3" in
   Fingerprint.str fp (target_fingerprint spec.target);
   Fingerprint.str fp (analysis_to_string spec.analysis);
   Fingerprint.str fp spec.output;
@@ -398,8 +359,6 @@ let point_hash spec point =
   (match spec.steps with
    | Some s -> Fingerprint.field fp "S" (string_of_int s)
    | None -> ());
-  Fingerprint.str fp (Linsys.backend_to_string spec.backend);
-  Fingerprint.str fp (Linsys.krylov_to_string spec.krylov);
   Fingerprint.list fp
     (fun fp (name, v) -> Fingerprint.field fp name (value_to_string v))
     point.assigns;

@@ -14,25 +14,22 @@
     output = out
     sweep w   = 1u, 2u, 4u, 8u
     sweep vdd = 1.1, 1.2
-    backend = auto
     max-retries = 2
     v}
 
-    Axis values are comma lists of SPICE-suffixed numbers (or bare
-    words for the symbolic engine axes [backend]/[krylov]); [lo:hi:n]
+    Axis values are comma lists of SPICE-suffixed numbers; [lo:hi:n]
     expands to a linear ramp of [n] values.  Engine axes ([steps],
-    [period], [backend], [krylov]) apply to any target; every other
-    axis name must be a parameter of the built-in cell being swept
-    (deck elements carry no override hooks).
+    [period]) apply to any target; every other axis name must be a
+    parameter of the built-in cell being swept (deck elements carry no
+    override hooks).  The linear solver is not a spec key: it follows
+    the circuit size ({!Linsys.solver_for}).
 
     Expansion is deterministic: points are numbered row-major in axis
     declaration order, and {!point_hash} is a content hash of the
     target, the reading, the engine knobs and the point's parameter
     assignment — the resume key of the sweep journal. *)
 
-type value = Num of float | Sym of string
-
-type axis = { axis_name : string; values : value list }
+type axis = { axis_name : string; values : float list }
 
 type target =
   | Deck of string  (** netlist path *)
@@ -50,8 +47,6 @@ type t = {
   output : string;  (** node read by the metric (anchor for [Freq]) *)
   period : float option;  (** PSS fundamental for [Mismatch] *)
   steps : int option;  (** PSS grid steps override *)
-  backend : Linsys.backend;
-  krylov : Linsys.krylov;
   axes : axis list;  (** declaration order; empty = one nominal point *)
   point_budget_s : float option;  (** per-point wall budget *)
   max_retries : int;  (** supervisor re-attempts per point (default 2) *)
@@ -60,7 +55,7 @@ type t = {
 
 type point = {
   id : int;  (** row-major index in the grid *)
-  assigns : (string * value) list;  (** one binding per axis, axis order *)
+  assigns : (string * float) list;  (** one binding per axis, axis order *)
 }
 
 val parse : string -> (t, string) result
@@ -77,7 +72,7 @@ val expand : t -> point array
     axis fastest); a spec with no axes yields one point with no
     assignments. *)
 
-val value_to_string : value -> string
+val value_to_string : float -> string
 (** Deterministic round-trip formatting ([%.17g] for numbers) — the
     form used in hashes, CSV cells and the worker protocol. *)
 
@@ -85,11 +80,11 @@ val point_hash : t -> point -> string
 (** Content hash (hex digest) of target + analysis + output + engine
     knobs + the point's assignment, built on the canonical
     {!Fingerprint} accumulator shared with the job pipeline (scheme
-    ["phv2"]).  Deck targets hash by elaborated content (memoized per
+    ["phv3"]).  Deck targets hash by elaborated content (memoized per
     path), so editing a deck invalidates journal entries instead of
     resuming over stale results.  Budgets and retry policy are
     deliberately excluded: re-running with a different budget must
-    still recognize journaled points.  Journals written by the v1
+    still recognize journaled points.  Journals written by an older
     scheme are treated as cold (docs/robustness.md). *)
 
 val cell_param_names : string -> string list
@@ -97,5 +92,4 @@ val cell_param_names : string -> string list
     unknown cell). *)
 
 val engine_axis_names : string list
-(** [["steps"; "period"; "backend"; "krylov"]] — axes honored by every
-    target. *)
+(** [["steps"; "period"]] — axes honored by every target. *)

@@ -9,21 +9,11 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* point parameters: engine knobs + target overrides *)
 
-let num_assign point name =
-  match List.assoc_opt name point.Sweep_spec.assigns with
-  | Some (Sweep_spec.Num v) -> Some v
-  | Some (Sweep_spec.Sym _) | None -> None
-
-let sym_assign point name =
-  match List.assoc_opt name point.Sweep_spec.assigns with
-  | Some (Sweep_spec.Sym s) -> Some s
-  | Some (Sweep_spec.Num _) | None -> None
+let num_assign point name = List.assoc_opt name point.Sweep_spec.assigns
 
 type knobs = {
   steps : int option;
   period : float option;
-  backend : Linsys.backend;
-  krylov : Linsys.krylov;
 }
 
 let knobs_of (spec : Sweep_spec.t) point =
@@ -36,33 +26,20 @@ let knobs_of (spec : Sweep_spec.t) point =
       (match num_assign point "period" with
        | Some v -> Some v
        | None -> spec.Sweep_spec.period);
-    backend =
-      (match sym_assign point "backend" with
-       | Some s -> Option.value (Linsys.backend_of_string s)
-                     ~default:spec.Sweep_spec.backend
-       | None -> spec.Sweep_spec.backend);
-    krylov =
-      (match sym_assign point "krylov" with
-       | Some s -> Option.value (Linsys.krylov_of_string s)
-                     ~default:spec.Sweep_spec.krylov
-       | None -> spec.Sweep_spec.krylov);
   }
 
 let mirror_params point =
   let p = ref Current_mirror.default_params in
   List.iter
     (fun (name, v) ->
-      match v with
-      | Sweep_spec.Sym _ -> ()
-      | Sweep_spec.Num v -> (
-        let q = !p in
-        match name with
-        | "i_ref" -> p := { q with Current_mirror.i_ref = v }
-        | "w" -> p := { q with Current_mirror.w = v }
-        | "l" -> p := { q with Current_mirror.l = v }
-        | "r_load" -> p := { q with Current_mirror.r_load = v }
-        | "vdd" -> p := { q with Current_mirror.vdd = v }
-        | _ -> ()))
+      let q = !p in
+      match name with
+      | "i_ref" -> p := { q with Current_mirror.i_ref = v }
+      | "w" -> p := { q with Current_mirror.w = v }
+      | "l" -> p := { q with Current_mirror.l = v }
+      | "r_load" -> p := { q with Current_mirror.r_load = v }
+      | "vdd" -> p := { q with Current_mirror.vdd = v }
+      | _ -> ())
     point.Sweep_spec.assigns;
   !p
 
@@ -70,27 +47,24 @@ let comparator_params point =
   let p = ref Strongarm.default_params in
   List.iter
     (fun (name, v) ->
-      match v with
-      | Sweep_spec.Sym _ -> ()
-      | Sweep_spec.Num v -> (
-        let q = !p in
-        match name with
-        | "vdd" -> p := { q with Strongarm.vdd = v }
-        | "vcm" -> p := { q with Strongarm.vcm = v }
-        | "w_in" -> p := { q with Strongarm.w_in = v }
-        | "w_tail" -> p := { q with Strongarm.w_tail = v }
-        | "w_cross_n" -> p := { q with Strongarm.w_cross_n = v }
-        | "w_cross_p" -> p := { q with Strongarm.w_cross_p = v }
-        | "w_pre" -> p := { q with Strongarm.w_pre = v }
-        | "w_pre_int" -> p := { q with Strongarm.w_pre_int = v }
-        | "w_eq" -> p := { q with Strongarm.w_eq = v }
-        | "l" -> p := { q with Strongarm.l = v }
-        | "c_out" -> p := { q with Strongarm.c_out = v }
-        | "clk_period" -> p := { q with Strongarm.clk_period = v }
-        | "clk_transition" -> p := { q with Strongarm.clk_transition = v }
-        | "gm_fb" -> p := { q with Strongarm.gm_fb = v }
-        | "c_fb" -> p := { q with Strongarm.c_fb = v }
-        | _ -> ()))
+      let q = !p in
+      match name with
+      | "vdd" -> p := { q with Strongarm.vdd = v }
+      | "vcm" -> p := { q with Strongarm.vcm = v }
+      | "w_in" -> p := { q with Strongarm.w_in = v }
+      | "w_tail" -> p := { q with Strongarm.w_tail = v }
+      | "w_cross_n" -> p := { q with Strongarm.w_cross_n = v }
+      | "w_cross_p" -> p := { q with Strongarm.w_cross_p = v }
+      | "w_pre" -> p := { q with Strongarm.w_pre = v }
+      | "w_pre_int" -> p := { q with Strongarm.w_pre_int = v }
+      | "w_eq" -> p := { q with Strongarm.w_eq = v }
+      | "l" -> p := { q with Strongarm.l = v }
+      | "c_out" -> p := { q with Strongarm.c_out = v }
+      | "clk_period" -> p := { q with Strongarm.clk_period = v }
+      | "clk_transition" -> p := { q with Strongarm.clk_transition = v }
+      | "gm_fb" -> p := { q with Strongarm.gm_fb = v }
+      | "c_fb" -> p := { q with Strongarm.c_fb = v }
+      | _ -> ())
     point.Sweep_spec.assigns;
   !p
 
@@ -98,18 +72,15 @@ let ringosc_params point =
   let p = ref Ring_osc.default_params in
   List.iter
     (fun (name, v) ->
-      match v with
-      | Sweep_spec.Sym _ -> ()
-      | Sweep_spec.Num v -> (
-        let q = !p in
-        match name with
-        | "vdd" -> p := { q with Ring_osc.vdd = v }
-        | "wn" -> p := { q with Ring_osc.wn = v }
-        | "wp" -> p := { q with Ring_osc.wp = v }
-        | "l" -> p := { q with Ring_osc.l = v }
-        | "c_stage" -> p := { q with Ring_osc.c_stage = v }
-        | "mismatch_scale" -> p := { q with Ring_osc.mismatch_scale = v }
-        | _ -> ()))
+      let q = !p in
+      match name with
+      | "vdd" -> p := { q with Ring_osc.vdd = v }
+      | "wn" -> p := { q with Ring_osc.wn = v }
+      | "wp" -> p := { q with Ring_osc.wp = v }
+      | "l" -> p := { q with Ring_osc.l = v }
+      | "c_stage" -> p := { q with Ring_osc.c_stage = v }
+      | "mismatch_scale" -> p := { q with Ring_osc.mismatch_scale = v }
+      | _ -> ())
     point.Sweep_spec.assigns;
   !p
 
@@ -129,7 +100,6 @@ let point_cache =
 
 let compute (spec : Sweep_spec.t) point ~policy ~budget =
   let k = knobs_of spec point in
-  let backend = k.backend and krylov = k.krylov in
   let circuit, period, f_guess =
     match spec.Sweep_spec.target with
     | Sweep_spec.Deck path ->
@@ -185,7 +155,7 @@ let compute (spec : Sweep_spec.t) point ~policy ~budget =
   in
   let deck = { Spice_elab.title = ""; circuit; analyses = [] } in
   match
-    Spice_run.execute ?steps:k.steps ~backend ~krylov ~policy ?budget
+    Spice_run.execute ?steps:k.steps ~policy ?budget
       ?cache:(Lazy.force point_cache) deck card
   with
   | Spice_run.R_op x -> ("v", x.(Circuit.node_row circuit output))

