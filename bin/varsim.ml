@@ -554,11 +554,6 @@ let sweep_cmd =
                  earlier (interrupted) run of the same spec; the final \
                  artifacts are bit-identical to an uninterrupted run's")
   in
-  let grace_arg =
-    Arg.(value & opt float 1.0 & info [ "grace" ] ~docv:"S"
-           ~doc:"Seconds between SIGTERM and SIGKILL when a worker \
-                 overruns its point budget")
-  in
   let point_budget_arg =
     Arg.(value & opt (some budget_conv) None & info [ "point-budget" ]
            ~docv:"T"
@@ -571,8 +566,8 @@ let sweep_cmd =
            ~doc:"Re-attempts per crashed or hung point (overrides the \
                  spec; default 2)")
   in
-  let run spec_path prefix isolation jobs resume grace point_budget
-      max_retries budget_s obs =
+  let run spec_path prefix isolation jobs resume point_budget max_retries
+      budget_s obs =
     match Sweep_spec.load_file spec_path with
     | Error e -> fail_exit e
     | Ok spec ->
@@ -597,7 +592,6 @@ let sweep_cmd =
           isolation;
           jobs = (if jobs < 1 then 1 else jobs);
           resume;
-          grace_s = grace;
           budget;
           progress = obs.progress;
         }
@@ -623,8 +617,8 @@ let sweep_cmd =
              workers, bounded retries, a durable resume journal and \
              deterministic CSV/JSON artifacts")
     Term.(ret (const run $ spec_arg $ prefix_arg $ isolation_arg $ jobs_arg
-               $ resume_arg $ grace_arg $ point_budget_arg $ max_retries_arg
-               $ budget_arg $ obs_term))
+               $ resume_arg $ point_budget_arg $ max_retries_arg $ budget_arg
+               $ obs_term))
 
 let worker_cmd =
   let spec_arg =

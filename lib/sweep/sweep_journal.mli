@@ -8,8 +8,8 @@
     can leave — by dropping it; acked lines are never dropped
     (docs/robustness.md, "Sweeps and supervision").
 
-    The handle serializes appends internally, so domain-mode lanes can
-    share one journal. *)
+    The handle serializes appends internally, so the supervisor's
+    lanes (threads or domains) share one journal. *)
 
 type entry = {
   hash : string;  (** resume key: {!Sweep_spec.point_hash} *)

@@ -17,7 +17,6 @@ type config = {
   isolation : isolation;
   jobs : int;
   resume : bool;
-  grace_s : float;
   budget : Budget.t option;
   progress : bool;
 }
@@ -37,17 +36,6 @@ type summary = {
 let csv_path prefix = prefix ^ ".csv"
 let json_path prefix = prefix ^ ".json"
 let journal_path prefix = prefix ^ ".journal"
-
-type attempt_event = { attempt : int; delay_before_s : float }
-
-let plan_attempts ~max_retries ~backoff_s ~retriable =
-  let rec go k acc delay =
-    let acc = { attempt = k; delay_before_s = delay } :: acc in
-    if retriable k && k <= max_retries then
-      go (k + 1) acc (Retry.backoff_delay ~base:backoff_s ~attempt:k)
-    else List.rev acc
-  in
-  go 1 [] 0.0
 
 (* ------------------------------------------------------------------ *)
 (* outcome bookkeeping *)
@@ -170,6 +158,30 @@ let json_content (_spec : Sweep_spec.t) points entries ~completed ~partial =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
+(* the retry rule *)
+
+type verdict =
+  | Final of Sweep_journal.entry
+  | Transient of Sweep_journal.entry
+  | Aborted
+
+let retry_loop ~max_retries ~backoff_s ~expired ~before_retry attempt =
+  let rec go k =
+    match attempt () with
+    | Final e -> Final { e with Sweep_journal.attempts = k }
+    | Transient e when k > max_retries ->
+      Transient { e with Sweep_journal.attempts = k }
+    | Transient _ when expired () -> Aborted
+    | Transient e ->
+      Obs.count "sweep.retries" 1;
+      before_retry { e with Sweep_journal.attempts = k }
+        (Retry.backoff_delay ~base:backoff_s ~attempt:k);
+      go (k + 1)
+    | Aborted -> Aborted
+  in
+  go 1
+
+(* ------------------------------------------------------------------ *)
 (* shared run state *)
 
 type state = {
@@ -179,11 +191,14 @@ type state = {
   hashes : string array;
   entries : (int, Sweep_journal.entry) Hashtbl.t;  (* id -> terminal entry *)
   journal : Sweep_journal.t;
-  state_mutex : Mutex.t;  (* entries + counters, for domain lanes *)
+  state_mutex : Mutex.t;  (* entries + counters, shared by the lanes *)
   mutable retries_used : int;
   mutable done_count : int;
   to_run_total : int;
 }
+
+let expired st =
+  match st.conf.budget with Some b -> Budget.expired b | None -> false
 
 let journal_append st entry =
   match Sweep_journal.append st.journal entry with
@@ -199,9 +214,10 @@ let journal_append st entry =
        | Unix.Unix_error (err, _, _) -> Unix.error_message err
        | e -> Printexc.to_string e)
 
-let record st point (entry : Sweep_journal.entry) ~attempts =
+let record st (entry : Sweep_journal.entry) =
+  let attempts = entry.Sweep_journal.attempts in
   Mutex.lock st.state_mutex;
-  Hashtbl.replace st.entries point.Sweep_spec.id entry;
+  Hashtbl.replace st.entries entry.Sweep_journal.id entry;
   st.retries_used <- st.retries_used + (attempts - 1);
   st.done_count <- st.done_count + 1;
   let k = st.done_count in
@@ -213,37 +229,57 @@ let record st point (entry : Sweep_journal.entry) ~attempts =
                                 then "ok" else "bad")) 1;
   if st.conf.progress then
     Printf.eprintf "varsim sweep: [%d/%d] point %d %s (%.2fs%s)\n%!" k
-      st.to_run_total point.Sweep_spec.id entry.Sweep_journal.outcome
+      st.to_run_total entry.Sweep_journal.id entry.Sweep_journal.outcome
       entry.Sweep_journal.elapsed_s
       (if attempts > 1 then Printf.sprintf ", %d attempts" attempts else "")
 
+(* one point, from claim to record: attempts under the retry rule, then
+   the terminal entry is journaled — or nothing is, when the global
+   budget aborted the point before it had its fair chance *)
+let settle st attempt =
+  match
+    retry_loop ~max_retries:st.spec.Sweep_spec.max_retries
+      ~backoff_s:st.spec.Sweep_spec.retry_backoff_s
+      ~expired:(fun () -> expired st)
+      ~before_retry:(fun (e : Sweep_journal.entry) delay ->
+        if st.conf.progress then
+          Printf.eprintf
+            "varsim sweep: point %d attempt %d %s; retrying in %.2gs\n%!"
+            e.Sweep_journal.id e.Sweep_journal.attempts
+            e.Sweep_journal.outcome delay;
+        Unix.sleepf delay)
+      attempt
+  with
+  | Final e | Transient e -> record st e
+  | Aborted -> Obs.count "sweep.aborted_in_flight" 1
+
+(* the entry of an attempt that produced no reading *)
+let bare_entry ~hash (point : Sweep_spec.point) ~elapsed_s outcome =
+  {
+    Sweep_journal.hash;
+    id = point.Sweep_spec.id;
+    outcome;
+    metric = "none";
+    value = None;
+    degraded = 0;
+    attempts = 1;
+    elapsed_s;
+  }
+
 (* ------------------------------------------------------------------ *)
-(* process isolation: supervised children *)
+(* process isolation: one supervised child per attempt *)
 
-type child = {
-  pid : int;
-  c_point : Sweep_spec.point;
-  c_hash : string;
-  attempt : int;
-  fd : Unix.file_descr;
-  buf : Buffer.t;
-  started : float;
-  deadline : float option;
-  mutable term_at : float option;
-  mutable deadline_killed : bool;
-  mutable eof : bool;
-}
+(* SIGTERM -> SIGKILL grace for a worker past its point deadline.  The
+   worker installs no SIGTERM handler, so SIGTERM ends it at once; the
+   grace only bounds a child that somehow survives it. *)
+let sigterm_grace = 1.0
 
-type verdict =
-  | V_entry of Sweep_journal.entry  (* worker produced a result line *)
-  | V_crashed of int  (* OCaml signal number *)
-  | V_timed_out  (* parent-enforced deadline *)
-  | V_failed of string  (* exited nonzero / protocol breakage *)
+(* how often a lane blocked on its child wakes to enforce the point
+   deadline and the global budget; EOF wakes it at once *)
+let tick_s = 0.02
 
-let spawn st point hash attempt =
+let spawn st point hash =
   Faultsim.check_exn "sweep.worker.spawn";
-  let r, w = Unix.pipe () in
-  Unix.set_close_on_exec r;
   let base =
     [ Sys.executable_name; "worker"; st.conf.spec_path; "--index";
       string_of_int point.Sweep_spec.id; "--hash"; hash ]
@@ -266,43 +302,27 @@ let spawn st point hash attempt =
     | Some _ -> base @ [ "--crash-now" ]
     | None -> base
   in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid =
-    Unix.create_process Sys.executable_name (Array.of_list argv) devnull w
-      Unix.stderr
-  in
-  Unix.close devnull;
-  Unix.close w;
-  Obs.count "sweep.workers.spawned" 1;
-  let now = Budget.now () in
-  {
-    pid;
-    c_point = point;
-    c_hash = hash;
-    attempt;
-    fd = r;
-    buf = Buffer.create 256;
-    started = now;
-    deadline =
-      Option.map (fun s -> now +. s) st.spec.Sweep_spec.point_budget_s;
-    term_at = None;
-    deadline_killed = false;
-    eof = false;
-  }
-
-let drain_child c =
-  (* the child is dead: read whatever is left in the pipe until EOF *)
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    match Unix.read c.fd chunk 0 4096 with
-    | 0 -> ()
-    | n ->
-      Buffer.add_subbytes c.buf chunk 0 n;
-      go ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  if not c.eof then go ();
-  Unix.close c.fd
+  (* every descriptor is close-on-exec: a child that another lane spawns
+     at the same moment must not inherit this lane's pipe, or this
+     lane's EOF would wait for that other child to exit *)
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+  match Unix.pipe ~cloexec:true () with
+  | exception e ->
+    Unix.close devnull;
+    raise e
+  | r, w -> (
+    match
+      Unix.create_process Sys.executable_name (Array.of_list argv) devnull w
+        Unix.stderr
+    with
+    | pid ->
+      Unix.close devnull;
+      Unix.close w;
+      Obs.count "sweep.workers.spawned" 1;
+      (pid, r)
+    | exception e ->
+      List.iter Unix.close [ devnull; r; w ];
+      raise e)
 
 let last_line s =
   String.split_on_char '\n' s
@@ -313,285 +333,166 @@ let last_line s =
   | l :: _ -> Some l
 
 (* Fold a finished worker's telemetry line(s) into the fleet snapshot.
-   Only called for workers that produced a trusted result (V_entry):
-   the partial output of a crashed or reaped worker is dropped whole —
+   Only called for workers that produced a trusted result: the partial
+   output of a crashed or reaped worker is dropped whole —
    Obs_wire.ingest_line mutates nothing on a malformed line, so a
    kill -9 mid-write can never corrupt the merged trace.  The track id
    is keyed by the point's content hash, so every attempt of a point
    (and every run of the same spec) lands on the same track. *)
-let ingest_telemetry c =
+let ingest_telemetry ~hash (point : Sweep_spec.point) output =
   if Obs.enabled () then
-    String.split_on_char '\n' (Buffer.contents c.buf)
+    String.split_on_char '\n' output
     |> List.iter (fun line ->
            let line = String.trim line in
            if Obs_wire.looks_like line then
              if
-               Obs_wire.ingest_line ~key:c.c_hash
-                 ~track:(Printf.sprintf "point %d" c.c_point.Sweep_spec.id)
+               Obs_wire.ingest_line ~key:hash
+                 ~track:(Printf.sprintf "point %d" point.Sweep_spec.id)
                  line
              then Obs.count "sweep.telemetry.merged" 1
              else Obs.count "sweep.telemetry.dropped" 1)
 
-let classify c status =
-  if c.deadline_killed then V_timed_out
-  else
-    match status with
-    | Unix.WEXITED 0 -> begin
-      match Option.bind (last_line (Buffer.contents c.buf))
-              Sweep_journal.entry_of_json with
-      (* a worker-internal cooperative timeout is the same transient as a
-         parent-enforced deadline kill: retry it, don't record it *)
-      | Some e when e.Sweep_journal.hash = c.c_hash
-                    && e.Sweep_journal.outcome = "timed_out" -> V_timed_out
-      | Some e when e.Sweep_journal.hash = c.c_hash -> V_entry e
-      | Some _ -> V_failed "worker answered for a different point"
-      | None -> V_failed "worker protocol error: no result line"
-    end
-    | Unix.WEXITED n -> V_failed (Printf.sprintf "worker exited with code %d" n)
-    | Unix.WSIGNALED s | Unix.WSTOPPED s -> V_crashed s
+let rec wait_child pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait_child pid
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
 
-(* retriable: the worker died or hung.  A typed analysis failure is a
-   deterministic fact about the point, not a transient — re-running it
-   would reproduce it. *)
-let retriable = function
-  | V_crashed _ | V_timed_out -> true
-  | V_entry _ | V_failed _ -> false
-
-let entry_of_verdict c v =
-  let elapsed = Budget.now () -. c.started in
-  let mk outcome =
-    {
-      Sweep_journal.hash = c.c_hash;
-      id = c.c_point.Sweep_spec.id;
-      outcome;
-      metric = "none";
-      value = None;
-      degraded = 0;
-      attempts = c.attempt;
-      elapsed_s = elapsed;
-    }
+(* Spawn the worker, block on its pipe until EOF and reap it.  The lane
+   enforces the point deadline itself (SIGTERM, then SIGKILL after
+   [sigterm_grace]) and the global budget (SIGKILL, and the point is not
+   journaled: a resumed run must not trust it). *)
+let attempt_process st point hash () =
+  let started = Budget.now () in
+  let bare outcome =
+    bare_entry ~hash point ~elapsed_s:(Budget.now () -. started) outcome
   in
-  match v with
-  | V_entry e -> { e with Sweep_journal.attempts = c.attempt }
-  | V_crashed s -> mk ("crashed:" ^ signal_name s)
-  | V_timed_out -> mk "timed_out"
-  | V_failed msg -> mk ("failed:" ^ msg)
-
-type task = {
-  t_point : Sweep_spec.point;
-  t_hash : string;
-  t_attempt : int;
-  not_before : float;
-}
-
-let run_process st =
-  let queue =
-    ref
-      (Array.to_list
-         (Array.mapi
-            (fun i (point : Sweep_spec.point) ->
-              { t_point = point; t_hash = st.hashes.(i); t_attempt = 1;
-                not_before = 0.0 })
-            st.points))
-  in
-  let running = ref [] in
-  let expired = ref false in
-  let requeue c v =
-    let delay =
-      Retry.backoff_delay ~base:st.spec.Sweep_spec.retry_backoff_s
-        ~attempt:c.attempt
+  match spawn st point hash with
+  | exception (Faultsim.Injected _ | Unix.Unix_error _) ->
+    (* a spawn fault costs one attempt, like a crash *)
+    Obs.count "sweep.spawn_failures" 1;
+    Transient (bare "failed:worker spawn failed")
+  | pid, fd ->
+    let kill s = try Unix.kill pid s with Unix.Unix_error _ -> () in
+    let deadline =
+      Option.map (fun s -> started +. s) st.spec.Sweep_spec.point_budget_s
     in
-    Obs.count "sweep.retries" 1;
-    if st.conf.progress then
-      Printf.eprintf
-        "varsim sweep: point %d attempt %d %s; retrying in %.2gs\n%!"
-        c.c_point.Sweep_spec.id c.attempt
-        (match v with
-         | V_crashed s -> "crashed (" ^ signal_name s ^ ")"
-         | V_timed_out -> "timed out"
-         | _ -> "failed")
-        delay;
-    queue :=
-      !queue
-      @ [ { t_point = c.c_point; t_hash = c.c_hash;
-            t_attempt = c.attempt + 1;
-            not_before = Budget.now () +. delay } ]
-  in
-  let reap c status =
-    drain_child c;
-    running := List.filter (fun o -> o.pid <> c.pid) !running;
-    let v = classify c status in
-    (match v with V_entry _ -> ingest_telemetry c | _ -> ());
-    if retriable v && c.attempt <= st.spec.Sweep_spec.max_retries
-       && not !expired then
-      requeue c v
-    else record st c.c_point (entry_of_verdict c v) ~attempts:c.attempt
-  in
-  (* global-budget abort: in-flight points are killed but NOT recorded —
-     a point that never got its fair chance must not leave a terminal
-     journal entry, or a resumed run would trust it and diverge from an
-     uninterrupted run's artifact *)
-  let kill_everything () =
-    List.iter
-      (fun c ->
-        (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ());
-        (try ignore (Unix.waitpid [] c.pid)
-         with Unix.Unix_error _ -> ());
-        drain_child c;
-        Obs.count "sweep.aborted_in_flight" 1)
-      !running;
-    running := []
-  in
-  while (!queue <> [] || !running <> []) && not !expired do
-    (match st.conf.budget with
-     | Some b when Budget.expired b ->
-       expired := true;
-       Obs.count "sweep.budget_expired" 1;
-       kill_everything ()
-     | _ -> ());
-    if not !expired then begin
-      (* launch ready tasks into free slots *)
+    let timeout =
+      if deadline = None && st.conf.budget = None then -1.0 else tick_s
+    in
+    let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+    let term_at = ref None and aborted = ref false in
+    let rec pump () =
+      if (not !aborted) && expired st then begin
+        aborted := true;
+        kill Sys.sigkill
+      end;
       let now = Budget.now () in
-      let rec launch () =
-        if List.length !running < st.conf.jobs then begin
-          match
-            List.partition (fun t -> t.not_before <= now) !queue
-          with
-          | [], _ -> ()
-          | ready :: rest_ready, waiting ->
-            queue := rest_ready @ waiting;
-            (match spawn st ready.t_point ready.t_hash ready.t_attempt with
-             | c -> running := c :: !running
-             | exception Faultsim.Injected _ ->
-               (* spawn-site fault: costs one attempt, like a crash *)
-               Obs.count "sweep.spawn_failures" 1;
-               if ready.t_attempt <= st.spec.Sweep_spec.max_retries then begin
-                 Obs.count "sweep.retries" 1;
-                 let delay =
-                   Retry.backoff_delay
-                     ~base:st.spec.Sweep_spec.retry_backoff_s
-                     ~attempt:ready.t_attempt
-                 in
-                 queue :=
-                   !queue
-                   @ [ { ready with t_attempt = ready.t_attempt + 1;
-                         not_before = now +. delay } ]
-               end
-               else
-                 record st ready.t_point
-                   {
-                     Sweep_journal.hash = ready.t_hash;
-                     id = ready.t_point.Sweep_spec.id;
-                     outcome = "failed:worker spawn failed";
-                     metric = "none";
-                     value = None;
-                     degraded = 0;
-                     attempts = ready.t_attempt;
-                     elapsed_s = 0.0;
-                   }
-                   ~attempts:ready.t_attempt);
-            launch ()
-        end
+      (match deadline, !term_at with
+       | Some d, None when now > d ->
+         term_at := Some now;
+         Obs.count "sweep.deadline_kills" 1;
+         kill Sys.sigterm
+       | _, Some t when now > t +. sigterm_grace -> kill Sys.sigkill
+       | _ -> ());
+      let readable =
+        match Unix.select [ fd ] [] [] timeout with
+        | r, _, _ -> r <> []
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
       in
-      launch ();
-      (* wait for output or a tick *)
-      let fds = List.filter_map (fun c -> if c.eof then None else Some c.fd) !running in
-      let readable, _, _ =
-        try Unix.select fds [] [] 0.02
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      List.iter
-        (fun fd ->
-          match List.find_opt (fun c -> c.fd = fd) !running with
-          | None -> ()
-          | Some c -> (
-            let chunk = Bytes.create 4096 in
-            match Unix.read fd chunk 0 4096 with
-            | 0 -> c.eof <- true
-            | n -> Buffer.add_subbytes c.buf chunk 0 n
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()))
-        readable;
-      (* enforce per-point deadlines *)
-      let now = Budget.now () in
-      List.iter
-        (fun c ->
-          match c.deadline, c.term_at with
-          | Some d, None when now > d ->
-            c.deadline_killed <- true;
-            c.term_at <- Some now;
-            Obs.count "sweep.deadline_kills" 1;
-            (try Unix.kill c.pid Sys.sigterm with Unix.Unix_error _ -> ())
-          | _, Some t when now > t +. st.conf.grace_s ->
-            (try Unix.kill c.pid Sys.sigkill with Unix.Unix_error _ -> ())
-          | _ -> ())
-        !running;
-      (* reap exits *)
-      List.iter
-        (fun c ->
-          match Unix.waitpid [ Unix.WNOHANG ] c.pid with
-          | 0, _ -> ()
-          | _, status -> reap c status
-          | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
-            reap c (Unix.WEXITED 0))
-        !running
-    end
-  done;
-  !expired
+      if not readable then pump ()
+      else
+        match Unix.read fd chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          pump ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> pump ()
+    in
+    Fun.protect ~finally:(fun () -> Unix.close fd) pump;
+    let status = wait_child pid in
+    if !aborted then Aborted
+    else if !term_at <> None then Transient (bare "timed_out")
+    else
+      match status with
+      | Unix.WEXITED 0 -> begin
+        let output = Buffer.contents buf in
+        match Option.bind (last_line output) Sweep_journal.entry_of_json with
+        (* a worker-internal cooperative timeout is the same transient as
+           a deadline kill: retry it *)
+        | Some e when e.Sweep_journal.hash = hash
+                      && e.Sweep_journal.outcome = "timed_out" ->
+          Transient (bare "timed_out")
+        | Some e when e.Sweep_journal.hash = hash ->
+          ingest_telemetry ~hash point output;
+          Final e
+        | Some _ -> Final (bare "failed:worker answered for a different point")
+        | None -> Final (bare "failed:worker protocol error: no result line")
+      end
+      | Unix.WEXITED n ->
+        Final (bare (Printf.sprintf "failed:worker exited with code %d" n))
+      | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+        Transient (bare ("crashed:" ^ signal_name s))
 
 (* ------------------------------------------------------------------ *)
-(* domain isolation: in-process fan-out *)
+(* domain isolation: the point computed in-process *)
 
-let run_domains st =
+let attempt_domain st cache point hash () =
+  match
+    Sweep_worker.run_point ?cache ?budget_s:st.spec.Sweep_spec.point_budget_s
+      ~hash st.spec point
+  with
+  | e when e.Sweep_journal.outcome = "timed_out" -> Transient e
+  | e -> Final e
+  | exception e ->
+    (* in-process "crash isolation": an escaping exception is contained
+       to the point *)
+    Final
+      (bare_entry ~hash point ~elapsed_s:0.0
+         ("failed:uncaught exception: " ^ Printexc.to_string e))
+
+(* ------------------------------------------------------------------ *)
+(* lanes *)
+
+(* [jobs] lanes each claim the next pending point and settle it.
+   Process lanes are systhreads: each only blocks on its own child, a
+   thread costs far less memory than a domain, and they never open Obs
+   spans (threads share the domain's span stack; counters and merges
+   are mutex-guarded).  Domain lanes compute in-process on a
+   Domain_pool and share one engine-state cache, created here so no two
+   lanes race to build it. *)
+let run_lanes st isolation =
   let n = Array.length st.points in
-  let expired = ref false in
-  Domain_pool.with_pool st.conf.jobs (fun pool ->
-      Domain_pool.parallel_for pool ~label:"sweep.point"
-        ?should_stop:(Budget.stop_opt st.conf.budget) n (fun i ->
-          let point = st.points.(i) in
-          let hash = st.hashes.(i) in
-          let rec attempt k =
-            let r =
-              try
-                Sweep_worker.run_point
-                  ?budget_s:st.spec.Sweep_spec.point_budget_s st.spec point
-              with e ->
-                (* in-process "crash isolation": an escaping exception is
-                   contained to the point *)
-                {
-                  Sweep_worker.outcome =
-                    `Failed ("uncaught exception: " ^ Printexc.to_string e);
-                  metric = "none";
-                  value = None;
-                  degraded = 0;
-                  elapsed_s = 0.0;
-                }
-            in
-            let give_up =
-              match st.conf.budget with
-              | Some b -> Budget.expired b
-              | None -> false
-            in
-            match r.Sweep_worker.outcome with
-            | `Timed_out
-              when k <= st.spec.Sweep_spec.max_retries && not give_up ->
-              Obs.count "sweep.retries" 1;
-              Unix.sleepf
-                (Retry.backoff_delay ~base:st.spec.Sweep_spec.retry_backoff_s
-                   ~attempt:k);
-              attempt (k + 1)
-            | _ ->
-              record st point
-                (Sweep_worker.result_to_entry ~hash ~id:point.Sweep_spec.id
-                   ~attempts:k r)
-                ~attempts:k
-          in
-          attempt 1));
-  (match st.conf.budget with
-   | Some b when Budget.expired b ->
-     expired := true;
-     Obs.count "sweep.budget_expired" 1
-   | _ -> ());
-  !expired
+  match isolation with
+  | Domains ->
+    let cache = Result.to_option (Cache.create ()) in
+    Domain_pool.with_pool st.conf.jobs (fun pool ->
+        Domain_pool.parallel_for pool ~label:"sweep.point"
+          ?should_stop:(Budget.stop_opt st.conf.budget) n (fun i ->
+            settle st (attempt_domain st cache st.points.(i) st.hashes.(i))))
+  | Process | Auto_iso ->
+    let next = Atomic.make 0 and failure = Atomic.make None in
+    let rec lane () =
+      if not (expired st) then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          settle st (attempt_process st st.points.(i) st.hashes.(i));
+          lane ()
+        end
+      end
+    in
+    (* as in Domain_pool: a lane that raises stops claiming, and the
+       first exception is re-raised once the other lanes have drained *)
+    let guarded () =
+      try lane ()
+      with e -> ignore (Atomic.compare_and_set failure None (Some e))
+    in
+    let others =
+      List.init (min st.conf.jobs n - 1) (fun _ -> Thread.create guarded ())
+    in
+    guarded ();
+    List.iter Thread.join others;
+    Option.iter raise (Atomic.get failure)
 
 (* ------------------------------------------------------------------ *)
 (* the run driver *)
@@ -673,19 +574,15 @@ let run conf (spec : Sweep_spec.t) =
         to_run_total = Array.length pending;
       }
     in
-    let expired =
-      Fun.protect
-        ~finally:(fun () -> Sweep_journal.close journal)
-        (fun () ->
-          Obs.span "sweep.points" (fun () ->
-              if Array.length pending = 0 then false
-              else
-                match resolve_isolation spec conf.isolation with
-                | Domains -> run_domains st
-                | Process | Auto_iso -> run_process st))
-    in
+    Fun.protect
+      ~finally:(fun () -> Sweep_journal.close journal)
+      (fun () ->
+        Obs.span "sweep.points" (fun () ->
+            if Array.length pending > 0 then
+              run_lanes st (resolve_isolation spec conf.isolation)));
     let completed = Hashtbl.length entries in
-    let partial = expired && completed < Array.length all_points in
+    let partial = completed < Array.length all_points && expired st in
+    if partial then Obs.count "sweep.budget_expired" 1;
     Obs.span "sweep.artifacts" (fun () ->
         write_atomic (csv_path conf.out_prefix)
           (csv_content spec all_points entries ~completed ~partial);

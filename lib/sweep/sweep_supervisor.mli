@@ -3,13 +3,16 @@
 
     The headline property is {e survival}: one bad point — a crash, a
     hang, an OOM kill, a typed analysis failure — costs at most that
-    point's bounded retries, never the run.  Process isolation
-    (default for the PSS-heavy analyses) runs every point in a
-    supervised child (the hidden [varsim worker] mode, result returned
-    as one JSON line over a pipe), with per-point wall deadlines
-    enforced by SIGTERM-then-SIGKILL; domain isolation fans cheap
-    points out over a {!Domain_pool} in-process.  Every completed point
-    is appended (fsynced) to [<prefix>.journal] before it counts, so
+    point's bounded retries, never the run.  [jobs] lanes each claim
+    the next pending point and own it until it has a terminal outcome:
+    one attempt under the chosen isolation, the single retry rule
+    ({!retry_loop}), then the journal.  Process isolation (default for
+    the PSS-heavy analyses) runs every attempt in a supervised child
+    (the hidden [varsim worker] mode, result returned as one JSON line
+    over a pipe) whose lane enforces the per-point wall deadline by
+    SIGTERM-then-SIGKILL; domain isolation computes cheap points
+    in-process on {!Domain_pool} lanes.  Every completed point is
+    appended (fsynced) to [<prefix>.journal] before it counts, so
     [kill -9] of the parent at any instant loses at most the points in
     flight; a re-run with [resume = true] skips journaled points and
     converges to a final CSV/JSON artifact bit-identical to an
@@ -29,7 +32,6 @@ type config = {
   isolation : isolation;
   jobs : int;  (** concurrent workers / pool lanes *)
   resume : bool;  (** skip points already in the journal *)
-  grace_s : float;  (** SIGTERM→SIGKILL grace for deadline kills *)
   budget : Budget.t option;  (** global budget; expiry yields a partial run *)
   progress : bool;  (** per-point progress lines on stderr *)
 }
@@ -57,19 +59,32 @@ val journal_path : string -> string
 
 val pp_summary : Format.formatter -> summary -> unit
 
-(** {1 Pure retry planning (exposed for tests)} *)
+(** {1 The retry rule (exposed for tests)} *)
 
-type attempt_event = {
-  attempt : int;  (** 1-based *)
-  delay_before_s : float;  (** backoff slept before this attempt *)
-}
+(** The verdict of one attempt at a point. *)
+type verdict =
+  | Final of Sweep_journal.entry
+      (** a reading or a typed analysis failure: a deterministic fact
+          about the point, recorded as is *)
+  | Transient of Sweep_journal.entry
+      (** a crash, a hang or a spawn fault: retried while attempts
+          remain, else recorded as this entry *)
+  | Aborted
+      (** the global budget cut the point short — its attempt was
+          killed, or a retry fell due after expiry: nothing is
+          recorded, so a resumed run re-runs the point *)
 
-val plan_attempts :
-  max_retries:int -> backoff_s:float -> retriable:(int -> bool) ->
-  attempt_event list
-(** The deterministic attempt timeline of one point: attempt [k] is
-    re-tried iff [retriable k] (a crash/hang verdict) and the retry
-    bound is not exhausted; the delay before attempt [k+1] is
-    {!Retry.backoff_delay}.  The supervisor's scheduling loop follows
-    exactly this plan, so same policy + same injected failures ⇒ same
+val retry_loop :
+  max_retries:int -> backoff_s:float -> expired:(unit -> bool) ->
+  before_retry:(Sweep_journal.entry -> float -> unit) ->
+  (unit -> verdict) -> verdict
+(** [retry_loop ~max_retries ~backoff_s ~expired ~before_retry attempt]
+    is every point's attempt loop, under both isolations.  A
+    [Transient] verdict of attempt [k] is retried while
+    [k <= max_retries]: [before_retry e d] runs first with that
+    attempt's entry and [d], the geometric {!Retry} backoff of attempt
+    [k] from base [backoff_s] (the supervisor reports, then sleeps
+    [d]).  Once [expired ()] holds, nothing is retried: the point is
+    [Aborted].  The returned entry carries the attempts consumed.  The
+    loop is deterministic, so same policy + same verdicts ⇒ the same
     timeline. *)

@@ -1,11 +1,3 @@
-type result = {
-  outcome : [ `Ok | `Degraded | `Timed_out | `Failed of string ];
-  metric : string;
-  value : float option;
-  degraded : int;
-  elapsed_s : float;
-}
-
 (* ------------------------------------------------------------------ *)
 (* point parameters: engine knobs + target overrides *)
 
@@ -87,18 +79,7 @@ let ringosc_params point =
 (* ------------------------------------------------------------------ *)
 (* the point body *)
 
-(* One in-memory engine-state cache per worker process, shared by every
-   point this process computes.  Under process isolation each worker is
-   fresh, so this is inert; under domain isolation all points share it
-   (and the process-global Linsys plan cache), so points that elaborate
-   the same circuit with the same knobs warm-start each other —
-   observable as fewer "symbolic.plan"/"pss.*" increments, never as
-   different values (docs/serving.md). *)
-let point_cache =
-  lazy
-    (match Cache.create () with Ok c -> Some c | Error _ -> None)
-
-let compute (spec : Sweep_spec.t) point ~policy ~budget =
+let compute ?cache (spec : Sweep_spec.t) point ~policy ~budget =
   let k = knobs_of spec point in
   let circuit, period, f_guess =
     match spec.Sweep_spec.target with
@@ -155,8 +136,7 @@ let compute (spec : Sweep_spec.t) point ~policy ~budget =
   in
   let deck = { Spice_elab.title = ""; circuit; analyses = [] } in
   match
-    Spice_run.execute ?steps:k.steps ~policy ?budget
-      ?cache:(Lazy.force point_cache) deck card
+    Spice_run.execute ?steps:k.steps ~policy ?budget ?cache deck card
   with
   | Spice_run.R_op x -> ("v", x.(Circuit.node_row circuit output))
   | Spice_run.R_dc_match rep -> ("sigma", rep.Sens.sigma)
@@ -166,49 +146,34 @@ let compute (spec : Sweep_spec.t) point ~policy ~budget =
   | Spice_run.R_pss _ | Spice_run.R_mc _ | Spice_run.R_yield _ ->
     assert false (* the four cards above only yield the four above *)
 
-let run_point ?budget_s (spec : Sweep_spec.t) point =
+let run_point ?cache ?budget_s ~hash (spec : Sweep_spec.t) point =
   let label = Printf.sprintf "sweep point %d" point.Sweep_spec.id in
   let policy =
     { Retry.default with Retry.max_retries = spec.Sweep_spec.max_retries }
   in
   let budget = Option.map (fun s -> Budget.make ~wall_s:s ~label ()) budget_s in
   let out =
-    Resilient.run ?budget ~label (fun () -> compute spec point ~policy ~budget)
+    Resilient.run ?budget ~label (fun () ->
+        compute ?cache spec point ~policy ~budget)
   in
   let degraded = out.Resilient.degradations + out.Resilient.krylov_fallbacks in
-  match out.Resilient.result with
-  | Ok (metric, value) ->
+  let entry outcome metric value =
     {
-      outcome = (if degraded > 0 then `Degraded else `Ok);
+      Sweep_journal.hash;
+      id = point.Sweep_spec.id;
+      outcome;
       metric;
-      value = Some value;
+      value;
       degraded;
+      attempts = 1;
       elapsed_s = out.Resilient.elapsed_s;
     }
-  | Error (Resilient.Timed_out _) ->
-    { outcome = `Timed_out; metric = "none"; value = None; degraded;
-      elapsed_s = out.Resilient.elapsed_s }
-  | Error f ->
-    { outcome = `Failed (Resilient.describe f); metric = "none"; value = None;
-      degraded; elapsed_s = out.Resilient.elapsed_s }
-
-let outcome_string = function
-  | `Ok -> "ok"
-  | `Degraded -> "degraded"
-  | `Timed_out -> "timed_out"
-  | `Failed msg -> "failed:" ^ msg
-
-let result_to_entry ~hash ~id ~attempts r =
-  {
-    Sweep_journal.hash;
-    id;
-    outcome = outcome_string r.outcome;
-    metric = r.metric;
-    value = r.value;
-    degraded = r.degraded;
-    attempts;
-    elapsed_s = r.elapsed_s;
-  }
+  in
+  match out.Resilient.result with
+  | Ok (metric, value) ->
+    entry (if degraded > 0 then "degraded" else "ok") metric (Some value)
+  | Error (Resilient.Timed_out _) -> entry "timed_out" "none" None
+  | Error f -> entry ("failed:" ^ Resilient.describe f) "none" None
 
 (* ------------------------------------------------------------------ *)
 (* worker-process entry *)
@@ -252,13 +217,11 @@ let main ?(crash = false) ?(telemetry = false) ~spec_path ~index ~hash
            done
          | None -> ());
         if telemetry then Obs.enable ();
-        let r =
-          if telemetry then
-            Obs.root "worker" (fun () -> run_point ?budget_s spec point)
-          else run_point ?budget_s spec point
-        in
         let entry =
-          result_to_entry ~hash:computed ~id:point.Sweep_spec.id ~attempts:1 r
+          if telemetry then
+            Obs.root "worker" (fun () ->
+                run_point ?budget_s ~hash:computed spec point)
+          else run_point ?budget_s ~hash:computed spec point
         in
         (* telemetry first, result last: the supervisor takes the last
            non-empty line as the result, and a death mid-write can only

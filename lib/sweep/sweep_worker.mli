@@ -3,33 +3,29 @@
 
     [run_point] builds the target (deck reload or built-in cell with
     the point's parameter overrides), runs the spec's analysis under a
-    {!Resilient} net with an optional per-point budget, and returns a
-    typed result; it never raises on an analysis failure.  [main] is
-    the worker-process entry: it re-expands the grid from the spec
-    file, cross-checks the content hash the supervisor passed (so a
-    spec edited mid-run fails loudly instead of computing the wrong
+    {!Resilient} net with an optional per-point budget, and returns the
+    point's journal entry; it never raises on an analysis failure.
+    [main] is the worker-process entry: it re-expands the grid from the
+    spec file, cross-checks the content hash the supervisor passed (so
+    a spec edited mid-run fails loudly instead of computing the wrong
     point), honors the ["sweep.worker.hang"] fault site, and prints the
-    result as one JSON line on stdout — the whole parent/child
-    protocol (docs/robustness.md, "Sweeps and supervision"). *)
-
-type result = {
-  outcome : [ `Ok | `Degraded | `Timed_out | `Failed of string ];
-  metric : string;
-  value : float option;
-  degraded : int;  (** sparse→dense + krylov fallbacks inside the point *)
-  elapsed_s : float;
-}
+    entry as one JSON line on stdout — the whole parent/child protocol
+    (docs/robustness.md, "Sweeps and supervision"). *)
 
 val run_point :
-  ?budget_s:float -> Sweep_spec.t -> Sweep_spec.point -> result
-(** Run one point in-process.  [`Degraded] is a completed reading that
-    needed backend degradations; [`Failed] carries
-    {!Resilient.describe} of the typed failure. *)
-
-val result_to_entry :
-  hash:string -> id:int -> attempts:int -> result -> Sweep_journal.entry
-(** The journal/protocol encoding of a result.  [`Failed msg] becomes
-    outcome ["failed:<msg>"]. *)
+  ?cache:Cache.t -> ?budget_s:float -> hash:string -> Sweep_spec.t ->
+  Sweep_spec.point -> Sweep_journal.entry
+(** Run one point in-process and encode it as the entry both
+    isolations exchange: outcome ["ok"], ["degraded"] (a completed
+    reading that needed backend degradations), ["timed_out"] or
+    ["failed:<reason>"] ({!Resilient.describe} of the typed failure),
+    with [attempts = 1].  [hash] is the point's
+    {!Sweep_spec.point_hash}.  [cache] is the engine-state cache the
+    domain lanes of one sweep share, so points that elaborate the same
+    circuit with the same knobs warm-start each other — observable as
+    fewer ["symbolic.plan"]/["pss.*"] increments, never as different
+    values (docs/serving.md); a worker process computes one point and
+    passes none. *)
 
 val main :
   ?crash:bool -> ?telemetry:bool -> spec_path:string -> index:int ->

@@ -4,10 +4,13 @@
 
    - budget expiry exits 124 *after* flushing the requested telemetry
      artifacts, on ordinary subcommands and on sweeps alike;
-   - a sweep under process isolation survives injected worker crashes
-     and hangs with the documented exit codes;
-   - kill -9 of the sweep supervisor mid-run, then --resume, converges
-     to artifacts byte-identical to an uninterrupted run's;
+   - a sweep under process isolation survives injected worker crashes,
+     hangs and spawn faults with the documented exit codes;
+   - kill -9 of the sweep supervisor mid-run, or a global budget that
+     expires mid-grid, then --resume, converges to artifacts
+     byte-identical to an uninterrupted run's;
+   - process and domain isolation give byte-identical artifacts, and
+     domain lanes never race each other;
    - an unknown VARSIM_FAULTS site name, or an unknown option, fails
      fast with exit 2.
 
@@ -193,11 +196,115 @@ let () =
   let code, _ =
     run ~faults:"sweep.worker.hang:*:exn"
       [ "sweep"; "one.spec"; "-o"; "hg"; "--isolation"; "process";
-        "--point-budget"; "0.3"; "--grace"; "0.2"; "--max-retries"; "0" ]
+        "--point-budget"; "0.3"; "--max-retries"; "0" ]
   in
   check "hung worker exits 3" (code = 3);
   check "timed_out outcome recorded"
     (contains (read_file "hg.csv") "timed_out");
+
+  (* spawn fault: costs one attempt like a crash, so one transient is
+     absorbed and a persistent one is recorded as a failed point *)
+  let code, out =
+    run ~faults:"sweep.worker.spawn:0:exn"
+      [ "sweep"; "small.spec"; "-o"; "sf"; "--isolation"; "process" ]
+  in
+  check "transient spawn fault absorbed" (code = 0);
+  check "transient spawn fault consumed one retry"
+    (contains out "1 retry consumed");
+  check "spawn-fault csv identical to clean run" (read_file "sf.csv" = csv);
+  let code, _ =
+    run ~faults:"sweep.worker.spawn:*:exn"
+      [ "sweep"; "one.spec"; "-o"; "sp"; "--isolation"; "process";
+        "--max-retries"; "1" ]
+  in
+  check "persistent spawn fault exits 3" (code = 3);
+  check "spawn failure recorded"
+    (contains (read_file "sp.csv") "failed:worker spawn failed");
+
+  (* ------------------------------------------------------------- *)
+  (* cross-isolation parity: the same grid under process and domain
+     isolation gives byte-identical artifacts *)
+
+  write_file "cmp.spec"
+    "cell = comparator\n\
+     analysis = mismatch\n\
+     sweep w_in = 6u, 8u\n\
+     sweep vdd = 1.05:1.2:4\n";
+  let t0 = Unix.gettimeofday () in
+  let code, _ =
+    run [ "sweep"; "cmp.spec"; "-o"; "iso_p"; "--isolation"; "process";
+          "--jobs"; "1" ]
+  in
+  let grid_s = Unix.gettimeofday () -. t0 in
+  check "process-isolated grid exits 0" (code = 0);
+  let code, _ =
+    run [ "sweep"; "cmp.spec"; "-o"; "iso_d"; "--isolation"; "domain";
+          "--jobs"; "2" ]
+  in
+  check "domain-isolated grid exits 0" (code = 0);
+  check "cross-isolation csv byte-identical"
+    (read_file "iso_p.csv" = read_file "iso_d.csv");
+  check "cross-isolation json byte-identical"
+    (read_file "iso_p.json" = read_file "iso_d.json");
+
+  (* ------------------------------------------------------------- *)
+  (* global budget expiry mid-grid: half the uninterrupted wall time,
+     so it lands mid-grid on any host.  In-flight points are killed,
+     not journaled; the resume converges to the uninterrupted run *)
+
+  let code, _ =
+    run [ "sweep"; "cmp.spec"; "-o"; "bx"; "--isolation"; "process";
+          "--jobs"; "1"; "--budget"; Printf.sprintf "%.3f" (grid_s /. 2.0) ]
+  in
+  check "sweep budget expiry exits 124" (code = 124);
+  let lines path =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (read_file path))
+  in
+  let partial_csv = lines "bx.csv" in
+  check "partial csv ends with the partial marker"
+    (match List.rev partial_csv with
+     | last :: _ -> String.starts_with ~prefix:"# partial:" last
+     | [] -> false);
+  let csv_ids =
+    List.filter_map
+      (fun l -> int_of_string_opt (List.hd (String.split_on_char ',' l)))
+      partial_csv
+  in
+  let journal_ids =
+    List.map (fun l -> Scanf.sscanf l "{\"hash\":%S,\"id\":%d" (fun _ id -> id))
+      (lines "bx.journal")
+  in
+  check "budget expired mid-grid" (csv_ids <> [] && List.length csv_ids < 8);
+  check "journal holds exactly the recorded points"
+    (List.sort compare journal_ids = csv_ids);
+  let code, _ =
+    run [ "sweep"; "cmp.spec"; "-o"; "bx"; "--isolation"; "process";
+          "--jobs"; "1"; "--resume" ]
+  in
+  check "resume after budget expiry exits 0" (code = 0);
+  check "budget-resume csv byte-identical to uninterrupted run"
+    (read_file "bx.csv" = read_file "iso_p.csv");
+  check "budget-resume json byte-identical to uninterrupted run"
+    (read_file "bx.json" = read_file "iso_p.json");
+
+  (* ------------------------------------------------------------- *)
+  (* domain lanes share one engine cache: repeated fresh sweeps must
+     never record a point failed by two lanes racing to build it *)
+
+  write_file "eight.spec"
+    "cell = mirror\n\
+     analysis = dcmatch\n\
+     sweep w = 1u, 2u, 3u, 4u\n\
+     sweep vdd = 1.1, 1.2\n";
+  let racy = ref 0 in
+  for _ = 1 to 20 do
+    let code, _ =
+      run [ "sweep"; "eight.spec"; "-o"; "dr"; "--isolation"; "domain";
+            "--jobs"; "2" ]
+    in
+    if code <> 0 then incr racy
+  done;
+  check "20 fresh domain sweeps all exit 0" (!racy = 0);
 
   (* ------------------------------------------------------------- *)
   (* the tentpole: kill -9 mid-run, resume, byte-identical artifacts *)

@@ -1,7 +1,7 @@
 (* The sweep subsystem: spec parsing and grid expansion, the content
    hash that keys the resume journal, the journal's durability
-   contract, the pure retry planning, and the domain-mode supervisor
-   end to end (docs/robustness.md, "Sweeps and supervision").
+   contract, the retry rule every point's attempts follow, and the
+   domain-mode supervisor end to end (docs/robustness.md, "Sweeps and supervision").
 
    The durability property checked by QCheck below is the journal's
    whole reason to exist: an {e acked} append (the call returned, the
@@ -216,7 +216,7 @@ let journal_crash_property =
       && List.for_all2 entry_eq back
            (List.init expected entry))
 
-(* ------------------------------------------------- retry planning *)
+(* ------------------------------------------------------- retry rule *)
 
 let test_backoff_delay () =
   let d k = Retry.backoff_delay ~base:0.1 ~attempt:k in
@@ -228,40 +228,104 @@ let test_backoff_delay () =
   | _ -> Alcotest.fail "attempt 0 should be rejected"
   | exception Invalid_argument _ -> ()
 
-let test_plan_attempts () =
-  let plan =
-    Sweep_supervisor.plan_attempts ~max_retries:2 ~backoff_s:0.1
-      ~retriable:(fun _ -> true)
+(* drive the supervisor's real attempt loop with scripted verdicts:
+   each attempt takes the next verdict, and the backoff delays are
+   recorded instead of slept *)
+let run_script ?(expired = fun _ -> false) ~max_retries verdicts =
+  let script = ref verdicts and calls = ref 0 and delays = ref [] in
+  let v =
+    Sweep_supervisor.retry_loop ~max_retries ~backoff_s:0.1
+      ~expired:(fun () -> expired !calls)
+      ~before_retry:(fun _ d -> delays := d :: !delays)
+      (fun () ->
+        incr calls;
+        match !script with
+        | v :: rest ->
+          script := rest;
+          v
+        | [] -> Alcotest.fail "attempted past the script")
   in
-  Alcotest.(check (list int)) "attempts" [ 1; 2; 3 ]
-    (List.map (fun e -> e.Sweep_supervisor.attempt) plan);
+  (v, !calls, List.rev !delays)
+
+let verdict outcome =
+  let e = { (entry 0) with Sweep_journal.outcome } in
+  if outcome = "crashed:SIGKILL" || outcome = "timed_out" then
+    Sweep_supervisor.Transient e
+  else Sweep_supervisor.Final e
+
+let settled = function
+  | Sweep_supervisor.Final e | Sweep_supervisor.Transient e ->
+    (e.Sweep_journal.outcome, e.Sweep_journal.attempts)
+  | Sweep_supervisor.Aborted -> ("aborted", 0)
+
+let check_settled label (outcome, attempts) v =
+  Alcotest.(check (pair string int)) label (outcome, attempts) (settled v)
+
+let test_attempt_plan () =
+  let crash = verdict "crashed:SIGKILL" in
+  let v, calls, delays = run_script ~max_retries:2 [ crash; crash; crash ] in
+  Alcotest.(check int) "attempts" 3 calls;
+  check_settled "a persistent crash is recorded after the last retry"
+    ("crashed:SIGKILL", 3) v;
   Alcotest.(check bool) "delays follow the geometric backoff" true
-    (List.map (fun e -> e.Sweep_supervisor.delay_before_s) plan
-     = [ 0.0; Retry.backoff_delay ~base:0.1 ~attempt:1;
+    (delays
+     = [ Retry.backoff_delay ~base:0.1 ~attempt:1;
          Retry.backoff_delay ~base:0.1 ~attempt:2 ]);
   (* same policy + same verdicts => the identical timeline *)
   Alcotest.(check bool) "deterministic" true
-    (plan
-     = Sweep_supervisor.plan_attempts ~max_retries:2 ~backoff_s:0.1
-         ~retriable:(fun _ -> true));
-  let first_only =
-    Sweep_supervisor.plan_attempts ~max_retries:5 ~backoff_s:0.1
-      ~retriable:(fun k -> k = 1)
+    ((v, calls, delays) = run_script ~max_retries:2 [ crash; crash; crash ]);
+  let hang = verdict "timed_out" in
+  let v, calls, _ = run_script ~max_retries:2 [ hang; hang; verdict "ok" ] in
+  Alcotest.(check int) "a hang is retried like a crash" 3 calls;
+  check_settled "the retry that succeeds is recorded" ("ok", 3) v;
+  let v, calls, _ = run_script ~max_retries:5 [ crash; verdict "ok" ] in
+  Alcotest.(check int) "stops when the verdict is terminal" 2 calls;
+  check_settled "one retry consumed" ("ok", 2) v
+
+let test_typed_failure_stops () =
+  let v, calls, delays =
+    run_script ~max_retries:5 [ verdict "failed:singular matrix at row 3" ]
   in
-  Alcotest.(check int) "stops when the verdict is terminal" 2
-    (List.length first_only)
+  Alcotest.(check int) "one attempt" 1 calls;
+  Alcotest.(check int) "no backoff" 0 (List.length delays);
+  check_settled "recorded as is" ("failed:singular matrix at row 3", 1) v
+
+let test_no_retry_after_budget () =
+  let crash = verdict "crashed:SIGKILL" in
+  let v, calls, delays =
+    run_script ~expired:(fun _ -> true) ~max_retries:5 [ crash ]
+  in
+  Alcotest.(check int) "no retry once expired" 1 calls;
+  Alcotest.(check int) "no backoff" 0 (List.length delays);
+  check_settled "the point is aborted, not recorded" ("aborted", 0) v;
+  (* expiry between attempts stops the loop at the next verdict *)
+  let v, calls, delays =
+    run_script ~expired:(fun calls -> calls >= 2) ~max_retries:5
+      [ crash; crash; crash ]
+  in
+  Alcotest.(check int) "expiry after the first retry" 2 calls;
+  Alcotest.(check int) "one backoff" 1 (List.length delays);
+  check_settled "aborted" ("aborted", 0) v;
+  (* a point that used every attempt it had is recorded, budget or not *)
+  let v, _, _ = run_script ~expired:(fun _ -> true) ~max_retries:0 [ crash ] in
+  check_settled "retries exhausted" ("crashed:SIGKILL", 1) v;
+  (* a terminal verdict is recorded even after expiry *)
+  let v, _, _ =
+    run_script ~expired:(fun _ -> true) ~max_retries:5 [ verdict "ok" ]
+  in
+  check_settled "a reading is kept" ("ok", 1) v
 
 (* ------------------------------------------------------ run_point *)
 
 let test_run_point_mirror () =
   let s = parse_ok spec_text in
   let pts = Sweep_spec.expand s in
-  let r = Sweep_worker.run_point s pts.(0) in
-  (match r.Sweep_worker.outcome with
-   | `Ok -> ()
-   | _ -> Alcotest.fail "expected `Ok");
-  Alcotest.(check string) "metric" "sigma" r.Sweep_worker.metric;
-  (match r.Sweep_worker.value with
+  let hash = Sweep_spec.point_hash s pts.(0) in
+  let e = Sweep_worker.run_point ~hash s pts.(0) in
+  Alcotest.(check string) "outcome" "ok" e.Sweep_journal.outcome;
+  Alcotest.(check string) "hash" hash e.Sweep_journal.hash;
+  Alcotest.(check string) "metric" "sigma" e.Sweep_journal.metric;
+  (match e.Sweep_journal.value with
    | Some v -> Alcotest.(check bool) "sigma > 0" true (v > 0.0)
    | None -> Alcotest.fail "no value")
 
@@ -290,7 +354,6 @@ let test_supervisor_domains () =
       isolation = Sweep_supervisor.Domains;
       jobs = 2;
       resume;
-      grace_s = 1.0;
       budget = None;
       progress = false;
     }
@@ -387,7 +450,10 @@ let test_warm_plan_cache_across_points () =
   let pts = Sweep_spec.expand s in
   Alcotest.(check int) "grid" 4 (Array.length pts);
   let value p =
-    match (Sweep_worker.run_point s p).Sweep_worker.value with
+    match
+      (Sweep_worker.run_point ~hash:(Sweep_spec.point_hash s p) s p)
+        .Sweep_journal.value
+    with
     | Some v -> v
     | None -> Alcotest.fail "point failed"
   in
@@ -532,7 +598,11 @@ let () =
       ( "retry",
         [
           Alcotest.test_case "backoff delay" `Quick test_backoff_delay;
-          Alcotest.test_case "attempt plan" `Quick test_plan_attempts;
+          Alcotest.test_case "attempt plan" `Quick test_attempt_plan;
+          Alcotest.test_case "typed failure stops the loop" `Quick
+            test_typed_failure_stops;
+          Alcotest.test_case "no retry after budget expiry" `Quick
+            test_no_retry_after_budget;
         ] );
       ( "supervisor",
         [
