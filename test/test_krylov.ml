@@ -227,6 +227,49 @@ let test_lptv_stagnation_fallback () =
     p_faulted;
   Alcotest.(check bool) "responses bit-identical" true !identical
 
+(* ------------------------------------------------------ exact bit pins *)
+
+(* the 64-code resistor-string DAC of the CI fallback smoke: 65 unknowns,
+   so the size rule puts it on the sparse/Krylov path (GMRES shooting and
+   a matrix-free wrap).  Bits recorded before complex storage moved to
+   split re/im arrays; the port keeps the stdlib [Complex] operation
+   order, so they must not move. *)
+let dac_deck codes =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%d-code resistor-string DAC\nVREF tap%d 0 SIN(1 0.02 1meg)\n"
+    codes codes;
+  for k = 1 to codes do
+    Printf.bprintf b "R%d tap%d %s 1k tol=0.01\n" k k
+      (if k = 1 then "0" else Printf.sprintf "tap%d" (k - 1))
+  done;
+  for k = 1 to codes - 1 do
+    Printf.bprintf b "C%d tap%d 0 1p tol=0.01\n" k k
+  done;
+  Buffer.add_string b ".end\n";
+  Buffer.contents b
+
+let check_bits msg expected actual =
+  Alcotest.(check int64) msg expected (Int64.bits_of_float actual)
+
+let test_bits_dac64_pnoise () =
+  let c = (Spice_elab.load_string (dac_deck 64)).Spice_elab.circuit in
+  Alcotest.(check int) "65 unknowns" 65 (Circuit.size c);
+  Alcotest.(check bool) "krylov regime" true
+    (Linsys.solver_for (Circuit.size c) = Linsys.Krylov);
+  let pss = Pss.solve c ~period:1e-6 in
+  let lptv = Lptv.build pss ~f_offset:1.0 in
+  let sources = Pnoise.mismatch_sources lptv in
+  let sb = Pnoise.analyze lptv ~output:"tap32" ~harmonic:0 ~sources in
+  check_bits "total_psd" 0x3e9a36e1beb8c090L sb.Pnoise.total_psd;
+  List.iteri
+    (fun i (re, im) ->
+      let tf = sb.Pnoise.contributions.(i).Pnoise.transfer in
+      check_bits (Printf.sprintf "transfer %d re" i) re tf.Cx.re;
+      check_bits (Printf.sprintf "transfer %d im" i) im tf.Cx.im)
+    [ (0x3f7ffffd7eb41a81L, 0xbe5afc6cb8b38f35L);
+      (0x3f7ffffd7fc6fbe6L, 0xbe5aeeee82f17bdfL);
+      (0x3f7ffffd81ecbea1L, 0xbe5ad3f2176b8583L) ]
+
 let () =
   Alcotest.run "krylov"
     [
@@ -247,4 +290,6 @@ let () =
           Alcotest.test_case "lptv fallback bit-identical" `Quick
             test_lptv_stagnation_fallback;
         ] );
+      ( "bits",
+        [ Alcotest.test_case "dac64 pnoise" `Quick test_bits_dac64_pnoise ] );
     ]

@@ -340,6 +340,48 @@ let test_period_sens_vs_fd () =
   test_param sorted.(0);
   test_param sorted.(1)
 
+(* ------------------------------------------------------ exact bit pins *)
+
+(* IEEE-754 bits recorded before complex storage moved to split re/im
+   arrays: the port keeps the stdlib [Complex] operation order, so every
+   value below must stay identical to the last bit. *)
+
+let check_bits msg expected actual =
+  Alcotest.(check int64) msg expected (Int64.bits_of_float actual)
+
+let test_bits_comparator_pnoise () =
+  (* 16 unknowns: dense Clu step solvers and a dense wrap *)
+  let c = (Spice_elab.load_file "../decks/comparator.sp").Spice_elab.circuit in
+  let pss = Pss.solve c ~period:4e-9 in
+  let lptv = Lptv.build pss ~f_offset:1.0 in
+  let sources = Pnoise.mismatch_sources lptv in
+  let sb = Pnoise.analyze lptv ~output:"vos" ~harmonic:0 ~sources in
+  check_bits "total_psd" 0x3f2b3f8328b9c71cL sb.Pnoise.total_psd;
+  List.iteri
+    (fun i (re, im) ->
+      let tf = sb.Pnoise.contributions.(i).Pnoise.transfer in
+      check_bits (Printf.sprintf "transfer %d re" i) re tf.Cx.re;
+      check_bits (Printf.sprintf "transfer %d im" i) im tf.Cx.im)
+    [ (0x3c853de0fcb4f31eL, 0xbb265a004c880e03L);
+      (0xbc796cfadc191a15L, 0x3b13395982090716L);
+      (0x3feffffffab9b25eL, 0xbe7090d178a4326fL) ]
+
+let test_bits_divider_sigma_waveform () =
+  let c = (Spice_elab.load_file "../decks/divider.sp").Spice_elab.circuit in
+  let pss = Pss.solve c ~period:1e-6 in
+  let lptv = Lptv.build pss ~f_offset:1.0 in
+  let sources = Pnoise.mismatch_sources lptv in
+  List.iter
+    (fun (name, via, expected) ->
+      let w = Pnoise.sigma_waveform ~via lptv ~output:"out" ~sources in
+      List.iteri
+        (fun k e -> check_bits (Printf.sprintf "%s sample %d" name k) e w.(k))
+        expected)
+    [ ("forward", `Forward,
+       [ 0x3f7cf68d4d53a645L; 0x3f7cf68d4d53a644L; 0x3f7cf68d4d53a644L ]);
+      ("adjoint", `Adjoint,
+       [ 0x3f7cf68d4d53a66aL; 0x3f7cf68d4d53a66aL; 0x3f7cf68d4d53a66aL ]) ]
+
 let () =
   Alcotest.run "pss_lptv"
     [
@@ -367,6 +409,13 @@ let () =
             test_pnoise_sigma_waveform_consistency;
           Alcotest.test_case "physical sources" `Quick
             test_pnoise_physical_sources;
+        ] );
+      ( "bits",
+        [
+          Alcotest.test_case "comparator pnoise" `Quick
+            test_bits_comparator_pnoise;
+          Alcotest.test_case "divider sigma waveform" `Quick
+            test_bits_divider_sigma_waveform;
         ] );
       ( "oscillator",
         [
