@@ -29,13 +29,12 @@ let reals ~tag (pat : Csr.t) (vals : float array) =
   Array.iter (add_float b) vals;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let complexes ~tag (pat : Csr.t) (vals : Cx.t array) =
+let complexes ~tag (pat : Csr.t) (vals : Cvec.t) =
   let b = Buffer.create 1024 in
   Buffer.add_string b tag;
   add_pattern b pat;
-  Array.iter
-    (fun (z : Cx.t) ->
-      add_float b z.Cx.re;
-      add_float b z.Cx.im)
-    vals;
+  for p = 0 to Cvec.dim vals - 1 do
+    add_float b vals.re.(p);
+    add_float b vals.im.(p)
+  done;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -12,5 +12,5 @@ val reals : tag:string -> Csr.t -> float array -> string
 (** Key for a real-valued plan ({!Splu}).  [tag] namespaces the
     consumer (e.g. ["splu"]). *)
 
-val complexes : tag:string -> Csr.t -> Cx.t array -> string
+val complexes : tag:string -> Csr.t -> Cvec.t -> string
 (** Key for a complex-valued plan ({!Csplu}). *)

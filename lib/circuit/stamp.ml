@@ -45,6 +45,15 @@ let c_matrix circuit =
   stamp_c circuit ~add:(Mat.add_to c);
   c
 
+(* Coo.to_csr sums duplicates in stamp order from 0.0, as Mat.add_to
+   does, and drop_zeros applies of_dense's rule: the result equals
+   [Csr.of_dense (c_matrix circuit)] without the n×n detour *)
+let c_csr circuit =
+  let size = Circuit.size circuit in
+  let coo = Coo.create ~capacity:(4 * Stdlib.max size 1) size size in
+  stamp_c circuit ~add:(Coo.add coo);
+  Csr.drop_zeros (Coo.to_csr coo)
+
 type jac_sink = {
   js_clear : unit -> unit;
   js_add : int -> int -> float -> unit;

@@ -8,6 +8,11 @@
 
 val c_matrix : Circuit.t -> Mat.t
 
+val c_csr : Circuit.t -> Csr.t
+(** The C matrix stamped straight into CSR: exactly
+    [Csr.of_dense (c_matrix circuit)] (same entries, same bits) without
+    forming the dense n×n matrix. *)
+
 val stamp_c : Circuit.t -> add:(int -> int -> float -> unit) -> unit
 (** Stamp the constant C matrix through a callback — the backends build
     dense or sparse storage from the same traversal ({!c_matrix} is

@@ -50,8 +50,7 @@ let sparse_factorize (s : asparse) ~freq =
   let omega = 2.0 *. Float.pi *. freq in
   let gv = s.pat.Csr.v in
   let zvals =
-    Array.init (Array.length gv) (fun p ->
-        Cx.mk gv.(p) (omega *. s.c_vals.(p)))
+    { Cvec.re = Array.copy gv; im = Array.map (fun c -> omega *. c) s.c_vals }
   in
   let plan =
     match s.plan with
@@ -71,19 +70,20 @@ let sparse_factorize (s : asparse) ~freq =
 let rhs_of_input t input =
   let n = Circuit.size t.circuit in
   let rhs = Cvec.create n in
+  (* real right-hand sides: the imaginary half stays +0.0 *)
   (match input with
    | Vsource name ->
      let br = Circuit.branch_row t.circuit name in
-     rhs.(br) <- Cx.one
+     rhs.re.(br) <- 1.0
    | Isource name -> begin
      match (Circuit.devices t.circuit).(Circuit.device_index t.circuit name) with
      | Device.Isource { p; n = nn; _ } ->
-       if p > 0 then rhs.(p - 1) <- Cx.re (-1.0);
-       if nn > 0 then rhs.(nn - 1) <- Cx.one
+       if p > 0 then rhs.re.(p - 1) <- -1.0;
+       if nn > 0 then rhs.re.(nn - 1) <- 1.0
      | _ -> invalid_arg "Ac: not a current source"
      end
    | Injection rows ->
-     List.iter (fun (row, v) -> rhs.(row) <- Cx.( +: ) rhs.(row) (Cx.re v)) rows);
+     List.iter (fun (row, v) -> rhs.re.(row) <- rhs.re.(row) +. v) rows);
   rhs
 
 let solve t ~freq ~input =
@@ -102,18 +102,17 @@ let solve t ~freq ~input =
 
 let transfer t ~freq ~input ~output =
   let y = solve t ~freq ~input in
-  let row = Circuit.node_row t.circuit output in
-  y.(row)
+  Cvec.get y (Circuit.node_row t.circuit output)
 
 let output_impedance t ~freq ~node =
   let row = Circuit.node_row t.circuit node in
   let y = solve t ~freq ~input:(Injection [ (row, 1.0) ]) in
-  y.(row)
+  Cvec.get y row
 
 let adjoint t ~freq ~output =
   let n = Circuit.size t.circuit in
   let e = Cvec.create n in
-  e.(Circuit.node_row t.circuit output) <- Cx.one;
+  e.re.(Circuit.node_row t.circuit output) <- 1.0;
   match t.repr with
   | Adense { g_mat; c_mat } ->
     let omega = 2.0 *. Float.pi *. freq in

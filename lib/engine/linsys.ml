@@ -179,10 +179,13 @@ let factorize ?(allow_degradation = true) sys =
 let solve fact b =
   match fact with Fdense lu -> Lu.solve lu b | Fsparse f -> Splu.solve f b
 
-let solve_inplace fact b =
+let solve_inplace fact ~scratch b =
   match fact with
-  | Fdense lu -> Lu.solve_inplace lu b
-  | Fsparse f -> Splu.solve_inplace f ~scratch:(Array.make (Splu.dim f) 0.0) b
+  | Fdense lu ->
+    (* Lu.solve_inplace's arithmetic, with the caller's scratch *)
+    Lu.solve_into lu b scratch;
+    Array.blit scratch 0 b 0 (Array.length b)
+  | Fsparse f -> Splu.solve_inplace f ~scratch b
 
 let solve_transpose fact b =
   match fact with
@@ -191,10 +194,13 @@ let solve_transpose fact b =
 
 type rmat = Mdense of Mat.t | Msparse of Csr.t
 
-let cmat_of sys m =
+let c_matrix sys circuit =
   match sys.repr with
-  | Rdense _ -> Mdense m
-  | Rsparse _ -> Msparse (Csr.of_dense m)
+  | Rdense _ -> Mdense (Stamp.c_matrix circuit)
+  | Rsparse _ -> Msparse (Stamp.c_csr circuit)
+
+let rmat_dense = function Mdense m -> m | Msparse c -> Csr.to_dense c
+let rmat_csr = function Mdense m -> Csr.of_dense m | Msparse c -> c
 
 let rmat_mul_vec_into cm x y =
   match cm with

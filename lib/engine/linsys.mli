@@ -90,7 +90,7 @@ val splu_plan : ?counter:string -> Csr.t -> Splu.plan
     values.  [counter] (default ["linsys.splu.plans"]) is bumped only
     when a plan is actually constructed. *)
 
-val csplu_plan : ?counter:string -> Csr.t -> Cx.t array -> Csplu.plan
+val csplu_plan : ?counter:string -> Csr.t -> Cvec.t -> Csplu.plan
 (** The complex twin, for the AC/LPTV [Csplu] planning sites. *)
 
 val set_plan_cache_capacity : int -> unit
@@ -109,11 +109,24 @@ val factorize : ?allow_degradation:bool -> rsys -> rfact
     {!Faultsim} site can force the sparse path to fail. *)
 
 val solve : rfact -> Vec.t -> Vec.t
-val solve_inplace : rfact -> Vec.t -> unit
+val solve_inplace : rfact -> scratch:Vec.t -> Vec.t -> unit
+(** [solve_inplace f ~scratch b] overwrites [b] with the solution
+    without allocating; [scratch] (length [dim]) must not alias [b]. *)
+
 val solve_transpose : rfact -> Vec.t -> Vec.t
 
 (** The constant C matrix in the representation matching the system. *)
 type rmat = Mdense of Mat.t | Msparse of Csr.t
 
-val cmat_of : rsys -> Mat.t -> rmat
+val c_matrix : rsys -> Circuit.t -> rmat
+(** Stamp the circuit's C matrix for this system: dense for a dense
+    system; for a sparse one straight into CSR ({!Stamp.c_csr}), never
+    forming the n×n matrix. *)
+
+val rmat_dense : rmat -> Mat.t
+(** The dense matrix, converting a CSR exactly (entries and bits). *)
+
+val rmat_csr : rmat -> Csr.t
+(** The CSR matrix, converting a dense one with {!Csr.of_dense}. *)
+
 val rmat_mul_vec_into : rmat -> Vec.t -> Vec.t -> unit

@@ -32,71 +32,42 @@ type t = {
   wrap : wrap;
 }
 
-(* Scratch buffers for the allocation-free apply/solve kernels.  One
+(* Scratch vectors for the allocation-free apply/solve kernels, in
+   split re/im storage like every Cvec: [ct1] carries the intermediate
+   of a step apply (the (C/h)·p product, or the transposed solve's
+   result), [ct2] is the transposed-solve scratch (and solve_source's
+   homogeneous part), [ct3] the sparse forward-solve scratch.  One
    workspace per lane — sharing one across domains is a data race. *)
 type ws = {
-  re_in : Vec.t;
-  im_in : Vec.t;
-  re_out : Vec.t;
-  im_out : Vec.t;
-  ct1 : Cvec.t; (* per-step solve rhs inside a_apply *)
-  ct2 : Cvec.t; (* transpose-solve scratch / second intermediate *)
-  ct3 : Cvec.t; (* sparse forward-solve scratch *)
+  ct1 : Cvec.t;
+  ct2 : Cvec.t;
+  ct3 : Cvec.t;
 }
 
-let make_ws n =
-  {
-    re_in = Vec.create n;
-    im_in = Vec.create n;
-    re_out = Vec.create n;
-    im_out = Vec.create n;
-    ct1 = Cvec.create n;
-    ct2 = Cvec.create n;
-    ct3 = Cvec.create n;
-  }
+let make_ws n = { ct1 = Cvec.create n; ct2 = Cvec.create n; ct3 = Cvec.create n }
 
-(* dst <- (C/h)·v, complex v through the real matrix; dst may alias v *)
-let cmul_apply_into ws cm (v : Cvec.t) (dst : Cvec.t) =
-  let n = Array.length v in
-  for i = 0 to n - 1 do
-    let z = Array.unsafe_get v i in
-    Array.unsafe_set ws.re_in i z.Cx.re;
-    Array.unsafe_set ws.im_in i z.Cx.im
-  done;
-  (match cm with
-   | Cm_dense mat ->
-     Mat.mul_vec_into mat ws.re_in ws.re_out;
-     Mat.mul_vec_into mat ws.im_in ws.im_out
-   | Cm_sparse c ->
-     Csr.mul_vec_into c ws.re_in ws.re_out;
-     Csr.mul_vec_into c ws.im_in ws.im_out);
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i
-      (Cx.mk (Array.unsafe_get ws.re_out i) (Array.unsafe_get ws.im_out i))
-  done
+(* dst <- (C/h)·v, the real matrix applied to each half; dst must not
+   alias v *)
+let cmul_apply_into cm (v : Cvec.t) (dst : Cvec.t) =
+  match cm with
+  | Cm_dense mat ->
+    Mat.mul_vec_into mat v.re dst.re;
+    Mat.mul_vec_into mat v.im dst.im
+  | Cm_sparse c ->
+    Csr.mul_vec_into c v.re dst.re;
+    Csr.mul_vec_into c v.im dst.im
 
-(* dst <- (C/h)ᵀ·v; dst may alias v *)
-let cmul_tapply_into ws cm (v : Cvec.t) (dst : Cvec.t) =
-  let n = Array.length v in
-  for i = 0 to n - 1 do
-    let z = Array.unsafe_get v i in
-    Array.unsafe_set ws.re_in i z.Cx.re;
-    Array.unsafe_set ws.im_in i z.Cx.im
-  done;
-  (match cm with
-   | Cm_dense mat ->
-     Mat.tmul_vec_into mat ws.re_in ws.re_out;
-     Mat.tmul_vec_into mat ws.im_in ws.im_out
-   | Cm_sparse c ->
-     Csr.tmul_vec_into c ws.re_in ws.re_out;
-     Csr.tmul_vec_into c ws.im_in ws.im_out);
-  for i = 0 to n - 1 do
-    Array.unsafe_set dst i
-      (Cx.mk (Array.unsafe_get ws.re_out i) (Array.unsafe_get ws.im_out i))
-  done
+(* dst <- (C/h)ᵀ·v; dst must not alias v *)
+let cmul_tapply_into cm (v : Cvec.t) (dst : Cvec.t) =
+  match cm with
+  | Cm_dense mat ->
+    Mat.tmul_vec_into mat v.re dst.re;
+    Mat.tmul_vec_into mat v.im dst.im
+  | Cm_sparse c ->
+    Csr.tmul_vec_into c v.re dst.re;
+    Csr.tmul_vec_into c v.im dst.im
 
-(* dst <- M_k⁻¹ b; b is consumed from ws.ct1 by the callers, dst may
-   alias the caller's vector but not ws.ct1/ws.ct3 *)
+(* dst <- M_k⁻¹ b; dst is neither b nor ws.ct3 *)
 let solve_step_into ws solvers ~k b dst =
   match solvers with
   | Sdense clus -> Clu.solve_into clus.(k - 1) b dst
@@ -110,13 +81,27 @@ let solve_step_transpose_into ws solvers ~k b dst =
 (* A_{k-1} p = M_k⁻¹ (C/h) p   (maps p_{k-1} to the homogeneous part of p_k);
    dst may alias p but not ws.ct1 *)
 let a_apply_into ws ~solvers ~cmul ~k p dst =
-  cmul_apply_into ws cmul p ws.ct1;
+  cmul_apply_into cmul p ws.ct1;
   solve_step_into ws solvers ~k ws.ct1 dst
 
 (* A_{k-1}ᵀ w = (C/h)ᵀ M_k⁻ᵀ w; dst may alias w but not ws.ct1/ws.ct2 *)
 let a_transpose_apply_into ws ~solvers ~cmul ~k w dst =
   solve_step_transpose_into ws solvers ~k w ws.ct1;
-  cmul_tapply_into ws cmul ws.ct1 dst
+  cmul_tapply_into cmul ws.ct1 dst
+
+(* column j of Φ(ω) into [phi]: the unit vector e_j swept through
+   every step; [v] is the sweep's storage *)
+let phi_column ws ~solvers ~cmul ~m (v : Cvec.t) (phi : Cmat.t) j =
+  let n = Cvec.dim v in
+  Cvec.fill v Cx.zero;
+  v.re.(j) <- 1.0;
+  for k = 1 to m do
+    a_apply_into ws ~solvers ~cmul ~k v v
+  done;
+  for i = 0 to n - 1 do
+    phi.re.((i * n) + j) <- v.re.(i);
+    phi.im.((i * n) + j) <- v.im.(i)
+  done
 
 let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
     (pss : Pss.t) ~f_offset =
@@ -128,13 +113,14 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
   Obs.count "lptv.steps" m;
   let h = pss.Pss.period /. float_of_int m in
   let omega = 2.0 *. Float.pi *. f_offset in
-  let c_over_h = Mat.scale (1.0 /. h) pss.Pss.c_mat in
   let solver = Option.value solver ~default:(Linsys.solver_for n) in
   Domain_pool.with_pool domains @@ fun pool ->
   let cmul, solvers =
     Obs.span "lptv.factor_steps" @@ fun () ->
     match solver with
     | Linsys.Dense ->
+      let c_mat = Linsys.rmat_dense pss.Pss.c_mat in
+      let c_over_h = Mat.scale (1.0 /. h) c_mat in
       (* factorize M_k = C(1/h + jω) + G(t_k) for k = 1..m — the m
          factorizations are independent; each lane stamps into its own
          g/jac workspace (a shared stamp buffer would be a data race) *)
@@ -154,12 +140,14 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
                 ~x:pss.Pss.states.(k) ~g:g_buf
                 ~jac:(Some (Stamp.dense_sink jac))
                 ();
-              let mk =
-                Cmat.init n n (fun r c ->
-                    Cx.mk
-                      (Mat.get jac r c +. Mat.get c_over_h r c)
-                      (omega *. Mat.get pss.Pss.c_mat r c))
-              in
+              let mk = Cmat.create n n in
+              for r = 0 to n - 1 do
+                for c = 0 to n - 1 do
+                  mk.re.((r * n) + c) <-
+                    Mat.get jac r c +. Mat.get c_over_h r c;
+                  mk.im.((r * n) + c) <- omega *. Mat.get c_mat r c
+                done
+              done;
               Obs.count "lptv.fact.dense" 1;
               clus.(i) <- Some (Clu.factorize mk)));
       Budget.check_opt budget;
@@ -175,11 +163,11 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
       Stamp.stamp_c circuit ~add:(fun i j v ->
           let p = Csr.index pat i j in
           c_vals.(p) <- c_vals.(p) +. v);
-      let zvals_at gcsr zvals =
+      let zvals_at gcsr (zvals : Cvec.t) =
         let gv = gcsr.Csr.v in
         for p = 0 to nnz - 1 do
-          zvals.(p) <-
-            Cx.mk (gv.(p) +. (c_vals.(p) /. h)) (omega *. c_vals.(p))
+          zvals.re.(p) <- gv.(p) +. (c_vals.(p) /. h);
+          zvals.im.(p) <- omega *. c_vals.(p)
         done
       in
       let stamp_into g_buf gcsr k =
@@ -191,7 +179,7 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
       let plan =
         let g_buf = Vec.create n in
         let gcsr = Csr.copy pat in
-        let zvals = Array.make nnz Cx.zero in
+        let zvals = Cvec.create nnz in
         stamp_into g_buf gcsr 1;
         zvals_at gcsr zvals;
         Linsys.csplu_plan ~counter:"lptv.csplu.plans" pat zvals
@@ -202,7 +190,7 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
             ~chunk:(Domain_pool.chunk_hint pool m)
             ?should_stop:(Budget.stop_opt budget)
             ~init:(fun () ->
-              (Vec.create n, Csr.copy pat, Array.make nnz Cx.zero))
+              (Vec.create n, Csr.copy pat, Cvec.create nnz))
             (fun (g_buf, gcsr, zvals) i ->
               Faultsim.check_exn "lptv.factor";
               let k = i + 1 in
@@ -212,7 +200,8 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
               fs.(i) <- Some (Csplu.factorize plan pat zvals)));
       Budget.check_opt budget;
       let fs = Array.map (function Some f -> f | None -> assert false) fs in
-      (Cm_sparse (Csr.of_dense c_over_h), Ssparse fs)
+      (Cm_sparse (Csr.scale (1.0 /. h) (Linsys.rmat_csr pss.Pss.c_mat)),
+       Ssparse fs)
   in
   if solver = Linsys.Krylov then begin
     (* matrix-free wrap: no Φ(ω), no dense factorization — build cost
@@ -231,21 +220,20 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
               ~chunk:(Domain_pool.chunk_hint pool n)
               ?should_stop:(Budget.stop_opt budget)
               ~init:(fun () -> (make_ws n, Cvec.create n))
-              (fun (ws, v) j ->
-                Cvec.fill v Cx.zero;
-                v.(j) <- Cx.one;
-                for k = 1 to m do
-                  a_apply_into ws ~solvers ~cmul ~k v v
-                done;
-                for i = 0 to n - 1 do
-                  Cmat.set phi i j v.(i)
-                done)));
+              (fun (ws, v) j -> phi_column ws ~solvers ~cmul ~m v phi j)));
     Budget.check_opt budget;
     Obs.span "lptv.wrap" @@ fun () ->
     let wrap = Cmat.sub (Cmat.identity n) phi in
     { pss; f_offset; omega; n; m; h; cmul; solvers;
       wrap = Wdense (Clu.factorize wrap) }
   end
+
+(* dst <- src − dst *)
+let sub_from (src : Cvec.t) (dst : Cvec.t) =
+  for i = 0 to Cvec.dim src - 1 do
+    dst.re.(i) <- src.re.(i) -. dst.re.(i);
+    dst.im.(i) <- src.im.(i) -. dst.im.(i)
+  done
 
 (* GMRES matrix-vector products for the krylov wrap.  [src] is
    preserved; [dst] is one full forward (or backward) variational sweep
@@ -255,18 +243,14 @@ let wrap_apply t ws src dst =
   for k = 1 to t.m do
     a_apply_into ws ~solvers:t.solvers ~cmul:t.cmul ~k dst dst
   done;
-  for i = 0 to t.n - 1 do
-    dst.(i) <- Cx.( -: ) src.(i) dst.(i)
-  done
+  sub_from src dst
 
 let wrap_tapply t ws src dst =
   Cvec.blit src dst;
   for k = t.m downto 1 do
     a_transpose_apply_into ws ~solvers:t.solvers ~cmul:t.cmul ~k dst dst
   done;
-  for i = 0 to t.n - 1 do
-    dst.(i) <- Cx.( -: ) src.(i) dst.(i)
-  done
+  sub_from src dst
 
 (* Stagnation rung: form I - Φ(ω) densely after all.  The serial column
    loop runs the exact per-column operation sequence of the pool phase
@@ -278,14 +262,7 @@ let dense_wrap t =
   let v = Cvec.create t.n in
   let phi = Cmat.create t.n t.n in
   for j = 0 to t.n - 1 do
-    Cvec.fill v Cx.zero;
-    v.(j) <- Cx.one;
-    for k = 1 to t.m do
-      a_apply_into ws ~solvers:t.solvers ~cmul:t.cmul ~k v v
-    done;
-    for i = 0 to t.n - 1 do
-      Cmat.set phi i j v.(i)
-    done
+    phi_column ws ~solvers:t.solvers ~cmul:t.cmul ~m:t.m v phi j
   done;
   Clu.factorize (Cmat.sub (Cmat.identity t.n) phi)
 
@@ -362,9 +339,10 @@ type injection = int -> (int * float) list
 
 let constant_injection rows = fun _k -> rows
 
+(* the imaginary half stays +0.0: adding Cx.re v's +0.0 to it is exact *)
 let rhs_of t ~k (inj : injection) =
   let b = Cvec.create t.n in
-  List.iter (fun (row, v) -> b.(row) <- Cx.( +: ) b.(row) (Cx.re v)) (inj k);
+  List.iter (fun (row, v) -> b.re.(row) <- b.re.(row) +. v) (inj k);
   b
 
 let solve_source t inj =
@@ -377,11 +355,9 @@ let solve_source t inj =
   let forced =
     Array.init t.m (fun i ->
         let b = rhs_of t ~k:(i + 1) inj in
-        match t.solvers with
-        | Sdense clus ->
-          Clu.solve_inplace clus.(i) b;
-          b
-        | Ssparse fs -> Csplu.solve fs.(i) b)
+        solve_step_into ws t.solvers ~k:(i + 1) b ws.ct1;
+        Cvec.blit ws.ct1 b;
+        b)
   in
   let q = Cvec.create t.n in
   for k = 1 to t.m do
@@ -400,14 +376,18 @@ let solve_source t inj =
   done;
   p
 
-let harmonic_of_response t p ~row ~harmonic =
+let harmonic_of_response t (p : Cvec.t array) ~row ~harmonic =
   Obs.count "lptv.harmonics" 1;
-  let s = ref Cx.zero in
+  let sr = ref 0.0 and si = ref 0.0 in
   for k = 1 to t.m do
     let ang = -2.0 *. Float.pi *. float_of_int (harmonic * k) /. float_of_int t.m in
-    s := Cx.( +: ) !s (Cx.( *: ) p.(k).(row) (Cx.exp_i ang))
+    let c = cos ang and s = sin ang in
+    let pr = p.(k).re.(row) and pi = p.(k).im.(row) in
+    sr := !sr +. ((pr *. c) -. (pi *. s));
+    si := !si +. ((pr *. s) +. (pi *. c))
   done;
-  Cx.scale (1.0 /. float_of_int t.m) !s
+  let w = 1.0 /. float_of_int t.m in
+  Cx.mk (w *. !sr) (w *. !si)
 
 type functional = Cvec.t array
 
@@ -438,32 +418,43 @@ let adjoint_general t (c_add : int -> Cvec.t -> unit) : functional =
   c_add t.m rhs;
   wrap_solve_transpose_into t ws rhs lam.(t.m);
   backward ();
-  Array.init t.m (fun i ->
-      match t.solvers with
-      | Sdense clus -> Clu.solve_transpose clus.(i) lam.(i + 1)
-      | Ssparse fs -> Csplu.solve_transpose fs.(i) lam.(i + 1))
+  (* λ̃_k = M_k⁻ᵀ λ_k, written back over λ_k's storage *)
+  for k = 1 to t.m do
+    solve_step_transpose_into ws t.solvers ~k lam.(k) ws.ct1;
+    Cvec.blit ws.ct1 lam.(k)
+  done;
+  Array.sub lam 1 t.m
 
 let adjoint_harmonic t ~row ~harmonic =
   Obs.count "lptv.harmonics" 1;
   let weight = 1.0 /. float_of_int t.m in
-  adjoint_general t (fun k v ->
+  adjoint_general t (fun k (v : Cvec.t) ->
       let ang =
         -2.0 *. Float.pi *. float_of_int (harmonic * k) /. float_of_int t.m
       in
-      v.(row) <- Cx.( +: ) v.(row) (Cx.scale weight (Cx.exp_i ang)))
+      v.re.(row) <- v.re.(row) +. (weight *. cos ang);
+      v.im.(row) <- v.im.(row) +. (weight *. sin ang))
 
 let adjoint_sample t ~row ~k:ksample =
   if ksample < 1 || ksample > t.m then invalid_arg "Lptv.adjoint_sample";
-  adjoint_general t (fun k v ->
-      if k = ksample then v.(row) <- Cx.( +: ) v.(row) Cx.one)
+  adjoint_general t (fun k (v : Cvec.t) ->
+      if k = ksample then begin
+        (* Cx.one's +0.0 imaginary part is added too: it turns a -0.0
+           into +0.0 *)
+        v.re.(row) <- v.re.(row) +. 1.0;
+        v.im.(row) <- v.im.(row) +. 0.0
+      end)
 
 let apply (lam : functional) (inj : injection) =
-  let s = ref Cx.zero in
-  Array.iteri
-    (fun i lam_k ->
-      let k = i + 1 in
-      List.iter
-        (fun (row, v) -> s := Cx.( +: ) !s (Cx.scale v lam_k.(row)))
-        (inj k))
-    lam;
-  !s
+  (* the running sum in a float array, so the closure's updates stay
+     unboxed *)
+  let s = [| 0.0; 0.0 |] in
+  for i = 0 to Array.length lam - 1 do
+    let lam_k = lam.(i) in
+    List.iter
+      (fun (row, v) ->
+        s.(0) <- s.(0) +. (v *. lam_k.re.(row));
+        s.(1) <- s.(1) +. (v *. lam_k.im.(row)))
+      (inj (i + 1))
+  done;
+  Cx.mk s.(0) s.(1)

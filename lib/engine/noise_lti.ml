@@ -10,13 +10,15 @@ type point = {
   contributions : contribution array;
 }
 
-let point_of ~freq ~lambda sources =
+let point_of ~freq ~(lambda : Cvec.t) sources =
   let contributions =
     List.map
       (fun (name, rows, psd) ->
         let tf =
           List.fold_left
-            (fun acc (row, v) -> Cx.( +: ) acc (Cx.scale v lambda.(row)))
+            (fun (acc : Cx.t) (row, v) ->
+              Cx.mk (acc.re +. (v *. lambda.re.(row)))
+                (acc.im +. (v *. lambda.im.(row))))
             Cx.zero rows
         in
         { source_name = name; transfer = tf; psd_at_output = Cx.abs2 tf *. psd })

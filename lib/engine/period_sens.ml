@@ -18,7 +18,7 @@ let period_sensitivities (osc : Pss_osc.t) =
   let n = Circuit.size circuit in
   let m = pss.Pss.steps in
   let h = pss.Pss.period /. float_of_int m in
-  let c_over_h = Mat.scale (1.0 /. h) pss.Pss.c_mat in
+  let c_over_h = Mat.scale (1.0 /. h) (Linsys.rmat_dense pss.Pss.c_mat) in
   (* augmented shooting Jacobian at the solution *)
   let xdot_t =
     Vec.scale (1.0 /. h) (Vec.sub pss.Pss.states.(m) pss.Pss.states.(m - 1))

@@ -146,7 +146,8 @@ let sigma_waveform_forward ~domains ~policy ?budget lptv ~row ~sources =
               slots.(i) <-
                 Some
                   (Array.init m (fun j ->
-                       Cx.abs2 p.(j + 1).(row) *. src.src_psd)))));
+                       let re = p.(j + 1).re.(row) and im = p.(j + 1).im.(row) in
+                       ((re *. re) +. (im *. im)) *. src.src_psd)))));
   Budget.check_opt budget;
   let rows = Array.map (function Some r -> r | None -> assert false) slots in
   let acc = Array.make m 0.0 in

@@ -4,7 +4,7 @@ type t = {
   steps : int;
   times : float array;
   states : Vec.t array;
-  c_mat : Mat.t;
+  c_mat : Linsys.rmat;
   sys : Linsys.rsys;
   step_facts : Linsys.rfact array;
   mutable monodromy : Mat.t option;
@@ -14,24 +14,28 @@ type t = {
 
 exception No_convergence of string
 
+(* X <- (C/h + G)⁻¹ (C/h) X for one step, column by column, through the
+   dense C (the monodromy is n×n anyway, and a CSR C converts exactly) *)
+let monodromy_step ~c_dense ~h ~scratch fact m =
+  for j = 0 to Mat.cols m - 1 do
+    let col = Mat.col m j in
+    let rhs = Vec.scale (1.0 /. h) (Mat.mul_vec c_dense col) in
+    Linsys.solve_inplace fact ~scratch rhs;
+    for i = 0 to Mat.rows m - 1 do
+      Mat.set m i j rhs.(i)
+    done
+  done
+
 (* Dense monodromy from the per-step factorizations: X <- A_k X for
-   k = 1..m, column by column.  Per column this is the exact operation
-   sequence of the in-sweep accumulation below, so a krylov run that
-   falls back here produces a bit-identical matrix. *)
+   k = 1..m.  The in-sweep accumulation below runs the same
+   [monodromy_step], so a krylov run that falls back here produces a
+   bit-identical matrix. *)
 let accumulate_monodromy ~c_mat ~h ~facts n =
   Obs.count "pss.monodromy.dense" 1;
+  let c_dense = Linsys.rmat_dense c_mat in
+  let scratch = Vec.create n in
   let m = Mat.identity n in
-  Array.iter
-    (fun fact ->
-      for j = 0 to n - 1 do
-        let col = Mat.col m j in
-        let rhs = Vec.scale (1.0 /. h) (Mat.mul_vec c_mat col) in
-        Linsys.solve_inplace fact rhs;
-        for i = 0 to n - 1 do
-          Mat.set m i j rhs.(i)
-        done
-      done)
-    facts;
+  Array.iter (fun fact -> monodromy_step ~c_dense ~h ~scratch fact m) facts;
   m
 
 let monodromy t =
@@ -41,7 +45,7 @@ let monodromy t =
     let h = t.period /. float_of_int t.steps in
     let m =
       accumulate_monodromy ~c_mat:t.c_mat ~h ~facts:t.step_facts
-        (Mat.rows t.c_mat)
+        (Circuit.size t.circuit)
     in
     t.monodromy <- Some m;
     m
@@ -52,14 +56,17 @@ let sweep ~circuit ~sys ~c_mat ~tran_options ~t0 ~period ~steps ~x0 ?budget
     ?policy ~want_monodromy () =
   let n = Vec.dim x0 in
   let h = period /. float_of_int steps in
-  let c_rmat = Linsys.cmat_of sys c_mat in
   let times = Array.init (steps + 1) (fun k -> t0 +. (h *. float_of_int k)) in
   let states = Array.make (steps + 1) x0 in
   let facts = Array.make steps None in
-  let mono = if want_monodromy then Some (Mat.identity n) else None in
+  let mono =
+    if want_monodromy then
+      Some (Mat.identity n, Linsys.rmat_dense c_mat, Vec.create n)
+    else None
+  in
   for k = 0 to steps - 1 do
     let r =
-      Tran.step ~options:tran_options ~circuit ~sys ~c_mat:c_rmat
+      Tran.step ~options:tran_options ~circuit ~sys ~c_mat
         ~x_prev:states.(k) ~t_prev:times.(k) ~t_next:times.(k + 1) ?budget
         ?policy ()
     in
@@ -86,51 +93,47 @@ let sweep ~circuit ~sys ~c_mat ~tran_options ~t0 ~period ~steps ~x0 ?budget
     facts.(k) <- Some fact;
     match mono with
     | None -> ()
-    | Some m ->
-      (* X <- (C/h + G)⁻¹ (C/h) X, column by column *)
-      for j = 0 to n - 1 do
-        let col = Mat.col m j in
-        let rhs = Vec.scale (1.0 /. h) (Mat.mul_vec c_mat col) in
-        Linsys.solve_inplace fact rhs;
-        for i = 0 to n - 1 do
-          Mat.set m i j rhs.(i)
-        done
-      done
+    | Some (m, c_dense, scratch) -> monodromy_step ~c_dense ~h ~scratch fact m
   done;
   let facts =
     Array.map (function Some f -> f | None -> assert false) facts
   in
-  (times, states, facts, mono)
+  (times, states, facts, Option.map (fun (m, _, _) -> m) mono)
 
 (* δ from (I − Φ)·δ = r without forming Φ: GMRES on the complexified
    operator, one variational sweep (reusing the step factorizations)
    per matrix-vector product.  Returns [None] on stagnation — the
    caller's dense rung.  The real/imag parts ride the real operator
-   independently, so a real [r] keeps the whole Krylov space real. *)
-let krylov_delta ~sys ~c_mat ~h ~facts ~gws n (r : Vec.t) =
+   independently, so a real [r] keeps the whole Krylov space real: an
+   imaginary half that is all +0.0 is not swept, since the sweep would
+   return exact zeros and src − Φ·src would be +0.0 again. *)
+let krylov_delta ~c_over_h ~facts ~gws n (r : Vec.t) =
   Obs.span "pss.krylov" @@ fun () ->
-  let c_over_h = Linsys.cmat_of sys (Mat.scale (1.0 /. h) c_mat) in
-  let tmp = Vec.create n in
+  let tmp = Vec.create n and scratch = Vec.create n in
   let phi_apply v =
     Array.iter
       (fun fact ->
         Linsys.rmat_mul_vec_into c_over_h v tmp;
-        Linsys.solve_inplace fact tmp;
+        Linsys.solve_inplace fact ~scratch tmp;
         Vec.blit tmp v)
       facts
   in
-  let vre = Vec.create n and vim = Vec.create n in
-  let apply (src : Cvec.t) (dst : Cvec.t) =
+  let part = Vec.create n in
+  (* dst <- src − Φ·src on one real half *)
+  let sweep_half src dst =
+    Vec.blit src part;
+    phi_apply part;
     for i = 0 to n - 1 do
-      vre.(i) <- src.(i).Cx.re;
-      vim.(i) <- src.(i).Cx.im
-    done;
-    phi_apply vre;
-    phi_apply vim;
-    for i = 0 to n - 1 do
-      dst.(i) <-
-        Cx.mk (src.(i).Cx.re -. vre.(i)) (src.(i).Cx.im -. vim.(i))
+      dst.(i) <- src.(i) -. part.(i)
     done
+  in
+  let apply (src : Cvec.t) (dst : Cvec.t) =
+    sweep_half src.re dst.re;
+    let zero = ref true in
+    for i = 0 to n - 1 do
+      if src.im.(i) <> 0.0 || Float.sign_bit src.im.(i) then zero := false
+    done;
+    if !zero then Vec.fill dst.im 0.0 else sweep_half src.im dst.im
   in
   let b = Cvec.of_real r in
   let x = Cvec.create n in
@@ -145,8 +148,8 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
   let solver =
     Option.value solver ~default:(Linsys.solver_for (Circuit.size circuit))
   in
-  let c_mat = Stamp.c_matrix circuit in
   let sys = Linsys.make ~solver circuit in
+  let c_mat = Linsys.c_matrix sys circuit in
   let tran_options = Tran.default_options in
   let x_init =
     match x0 with
@@ -182,6 +185,12 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
   in
   let solve_with steps =
     let h = period /. float_of_int steps in
+    let c_over_h =
+      lazy
+        (match c_mat with
+         | Linsys.Mdense m -> Linsys.Mdense (Mat.scale (1.0 /. h) m)
+         | Linsys.Msparse c -> Linsys.Msparse (Csr.scale (1.0 /. h) c))
+    in
     let x0 = ref (Vec.copy x_init) in
     let rhist = ref [] in
     let rec iterate iter =
@@ -229,7 +238,8 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
               match Faultsim.fire "pss.gmres" with
               | Some _ -> None
               | None ->
-                krylov_delta ~sys ~c_mat ~h ~facts ~gws:(Lazy.force gws) n r
+                krylov_delta ~c_over_h:(Lazy.force c_over_h) ~facts
+                  ~gws:(Lazy.force gws) n r
             in
             match d with
             | Some d -> d

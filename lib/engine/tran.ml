@@ -128,7 +128,7 @@ let run ?(options = default_options) ?solver ?(policy = Retry.default) ?budget
   Obs.span "tran.run" @@ fun () ->
   Obs.count "tran.runs" 1;
   let sys = Linsys.make ?solver circuit in
-  let c_mat = Linsys.cmat_of sys (Stamp.c_matrix circuit) in
+  let c_mat = Linsys.c_matrix sys circuit in
   let x0 =
     match x0 with
     | Some x -> Vec.copy x

@@ -43,6 +43,6 @@ val step :
 (** One implicit integration step (exposed for the shooting solvers,
     which also need the Jacobian factorization at the solution).
     [sys] holds the step-matrix storage (build once with {!Linsys.make},
-    pair with [c_mat] from {!Linsys.cmat_of}).  [forcing] adds a sparse
+    pair with [c_mat] from {!Linsys.c_matrix}).  [forcing] adds a sparse
     constant term to the step residual — the hook the transient-noise
     analysis injects its per-step noise currents through. *)

@@ -3,7 +3,7 @@ let run ?(seed = 1) ?temp ?(options = Tran.default_options) ?x0 circuit
   if dt <= 0.0 || tstop <= tstart then invalid_arg "Tran_noise.run";
   let rng = Rng.create seed in
   let sys = Linsys.make circuit in
-  let c_mat = Linsys.cmat_of sys (Stamp.c_matrix circuit) in
+  let c_mat = Linsys.c_matrix sys circuit in
   let x0 =
     match x0 with
     | Some x -> Vec.copy x

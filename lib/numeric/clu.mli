@@ -1,4 +1,7 @@
-(** LU factorization with partial pivoting for dense complex matrices. *)
+(** LU factorization with partial pivoting for dense complex matrices.
+
+    The factors live in split re/im storage ({!Cmat}); the [_into]
+    solves index those float arrays directly and allocate nothing. *)
 
 type t
 
@@ -21,6 +24,5 @@ val solve_transpose_into : t -> scratch:Cvec.t -> Cvec.t -> Cvec.t -> unit
     allocating.  [scratch] is clobbered; it may alias [b] but [x] must
     alias neither. *)
 
-val det : t -> Cx.t
 val dim : t -> int
 val solve_dense : Cmat.t -> Cvec.t -> Cvec.t

@@ -1,95 +1,74 @@
-type t = { r : int; c : int; a : Cx.t array }
+(* Row-major split storage: entry (i, j) is (re.(i*c + j), im.(i*c + j)),
+   with the stdlib [Complex] operation order in every kernel. *)
+
+type t = { r : int; c : int; re : float array; im : float array }
 
 let create r c =
   if r < 0 || c < 0 then invalid_arg "Cmat.create";
-  { r; c; a = Array.make (r * c) Cx.zero }
+  { r; c; re = Array.make (r * c) 0.0; im = Array.make (r * c) 0.0 }
 
 let identity n =
   let m = create n n in
   for i = 0 to n - 1 do
-    m.a.((i * n) + i) <- Cx.one
+    m.re.((i * n) + i) <- 1.0
   done;
   m
+
+let rows m = m.r
+let cols m = m.c
+
+let set m i j (z : Cx.t) =
+  m.re.((i * m.c) + j) <- z.re;
+  m.im.((i * m.c) + j) <- z.im
 
 let init r c f =
   let m = create r c in
   for i = 0 to r - 1 do
     for j = 0 to c - 1 do
-      m.a.((i * c) + j) <- f i j
+      set m i j (f i j)
     done
   done;
   m
 
-let of_real rm = init (Mat.rows rm) (Mat.cols rm) (fun i j -> Cx.re (Mat.get rm i j))
-let rows m = m.r
-let cols m = m.c
-let get m i j = m.a.((i * m.c) + j)
-let set m i j v = m.a.((i * m.c) + j) <- v
-let unsafe_get m i j = Array.unsafe_get m.a ((i * m.c) + j)
-let unsafe_set m i j v = Array.unsafe_set m.a ((i * m.c) + j) v
-let add_to m i j v = m.a.((i * m.c) + j) <- Cx.( +: ) m.a.((i * m.c) + j) v
-let copy m = { m with a = Array.copy m.a }
-
-let check_same m n =
-  if m.r <> n.r || m.c <> n.c then invalid_arg "Cmat: dimension mismatch"
-
-let add m n =
-  check_same m n;
-  { m with a = Array.map2 Cx.( +: ) m.a n.a }
+let copy m = { m with re = Array.copy m.re; im = Array.copy m.im }
 
 let sub m n =
-  check_same m n;
-  { m with a = Array.map2 Cx.( -: ) m.a n.a }
+  if m.r <> n.r || m.c <> n.c then invalid_arg "Cmat: dimension mismatch";
+  { m with re = Array.map2 ( -. ) m.re n.re; im = Array.map2 ( -. ) m.im n.im }
 
-let scale s m = { m with a = Array.map (Cx.( *: ) s) m.a }
-
-let mul m n =
-  if m.c <> n.r then invalid_arg "Cmat.mul: dimension mismatch";
-  let p = create m.r n.c in
+let mul_vec m (x : Cvec.t) =
+  if m.c <> Cvec.dim x then invalid_arg "Cmat.mul_vec: dimension mismatch";
+  let y = Cvec.create m.r in
   for i = 0 to m.r - 1 do
-    for k = 0 to m.c - 1 do
-      let mik = m.a.((i * m.c) + k) in
-      if mik <> Cx.zero then
-        for j = 0 to n.c - 1 do
-          p.a.((i * p.c) + j) <-
-            Cx.( +: ) p.a.((i * p.c) + j) (Cx.( *: ) mik n.a.((k * n.c) + j))
-        done
-    done
+    let sr = ref 0.0 and si = ref 0.0 in
+    for j = 0 to m.c - 1 do
+      let ar = m.re.((i * m.c) + j) and ai = m.im.((i * m.c) + j) in
+      let xr = x.re.(j) and xi = x.im.(j) in
+      sr := !sr +. ((ar *. xr) -. (ai *. xi));
+      si := !si +. ((ar *. xi) +. (ai *. xr))
+    done;
+    y.re.(i) <- !sr;
+    y.im.(i) <- !si
   done;
-  p
+  y
 
-let mul_vec m x =
-  if m.c <> Array.length x then invalid_arg "Cmat.mul_vec: dimension mismatch";
-  Array.init m.r (fun i ->
-      let s = ref Cx.zero in
-      for j = 0 to m.c - 1 do
-        s := Cx.( +: ) !s (Cx.( *: ) m.a.((i * m.c) + j) x.(j))
-      done;
-      !s)
-
-let tmul_vec m x =
-  if m.r <> Array.length x then invalid_arg "Cmat.tmul_vec: dimension mismatch";
-  let y = Array.make m.c Cx.zero in
+let tmul_vec m (x : Cvec.t) =
+  if m.r <> Cvec.dim x then invalid_arg "Cmat.tmul_vec: dimension mismatch";
+  let y = Cvec.create m.c in
   for i = 0 to m.r - 1 do
-    let xi = x.(i) in
-    if xi <> Cx.zero then
+    let xr = x.re.(i) and xi = x.im.(i) in
+    if xr <> 0.0 || xi <> 0.0 then
       for j = 0 to m.c - 1 do
-        y.(j) <- Cx.( +: ) y.(j) (Cx.( *: ) m.a.((i * m.c) + j) xi)
+        let ar = m.re.((i * m.c) + j) and ai = m.im.((i * m.c) + j) in
+        y.re.(j) <- y.re.(j) +. ((ar *. xr) -. (ai *. xi));
+        y.im.(j) <- y.im.(j) +. ((ar *. xi) +. (ai *. xr))
       done
   done;
   y
 
 let max_abs m =
-  Array.fold_left (fun acc z -> Float.max acc (Cx.abs z)) 0.0 m.a
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.r - 1 do
-    Format.fprintf ppf "|";
-    for j = 0 to m.c - 1 do
-      Format.fprintf ppf " %a" Cx.pp (get m i j)
-    done;
-    Format.fprintf ppf " |";
-    if i < m.r - 1 then Format.fprintf ppf "@,"
+  let s = ref 0.0 in
+  for p = 0 to Array.length m.re - 1 do
+    s := Float.max !s (Float.hypot m.re.(p) m.im.(p))
   done;
-  Format.fprintf ppf "@]"
+  !s

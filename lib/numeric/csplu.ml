@@ -1,6 +1,6 @@
 (* Complex Gilbert–Peierls sparse LU with plan/replay, mirroring Splu.
-   L/U values live in split re/im float arrays so the hot loops run on
-   unboxed floats (the same trick Clu uses on its accumulators). *)
+   Values, L/U factors and solve vectors all live in split re/im float
+   arrays (Cvec), so every loop runs on unboxed floats. *)
 
 type plan = {
   n : int;
@@ -31,9 +31,28 @@ exception Singular of int
 let plan_dim p = p.n
 let dim t = t.plan.n
 
-let default_tol vals =
-  let scale = Array.fold_left (fun a z -> Float.max a (Cx.abs z)) 0.0 vals in
-  1e-13 *. Float.max scale 1e-300
+let default_tol (vals : Cvec.t) =
+  let scale = ref 0.0 in
+  for p = 0 to Cvec.dim vals - 1 do
+    scale := Float.max !scale (Float.hypot vals.re.(p) vals.im.(p))
+  done;
+  1e-13 *. Float.max !scale 1e-300
+
+(* q <- x / y with Complex.div's branches and operation order; inlined,
+   so the operands stay unboxed *)
+let[@inline] div_into qre qim i xr xi yr yi =
+  if Float.abs yr >= Float.abs yi then begin
+    let r = yi /. yr in
+    let d = yr +. (r *. yi) in
+    Array.unsafe_set qre i ((xr +. (r *. xi)) /. d);
+    Array.unsafe_set qim i ((xi -. (r *. xr)) /. d)
+  end
+  else begin
+    let r = yr /. yi in
+    let d = yi +. (r *. yr) in
+    Array.unsafe_set qre i (((r *. xr) +. xi) /. d);
+    Array.unsafe_set qim i (((r *. xi) -. xr) /. d)
+  end
 
 let build_colmap n (q : int array) (csr : Csr.t) =
   let qinv = Array.make n 0 in
@@ -62,10 +81,10 @@ let build_colmap n (q : int array) (csr : Csr.t) =
   done;
   (cp, cri, cpos)
 
-let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
+let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
   let n = Csr.rows csr in
   if Csr.cols csr <> n then invalid_arg "Csplu.plan: matrix not square";
-  if Array.length vals <> Csr.nnz csr then
+  if Cvec.dim vals <> Csr.nnz csr then
     invalid_arg "Csplu.plan: values/pattern length mismatch";
   let sym = Symbolic.analyze ?ordering csr in
   let q = Array.copy sym.Symbolic.q in
@@ -84,7 +103,7 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
   let ln = ref 0 in
   let ui = ref (Array.make cap0 0) in
   let un = ref 0 in
-  let push_l r zr zi =
+  let grow_l () =
     if !ln = Array.length !li then begin
       let cap' = 2 * Array.length !li in
       let li' = Array.make cap' 0 in
@@ -95,11 +114,7 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
       li := li';
       lxr := lxr';
       lxi := lxi'
-    end;
-    !li.(!ln) <- r;
-    !lxr.(!ln) <- zr;
-    !lxi.(!ln) <- zi;
-    incr ln
+    end
   in
   let push_u k =
     if !un = Array.length !ui then begin
@@ -167,9 +182,8 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
       end
     done;
     for p = cp.(j) to cp.(j + 1) - 1 do
-      let z = vals.(cpos.(p)) in
-      xr.(cri.(p)) <- z.Cx.re;
-      xi.(cri.(p)) <- z.Cx.im
+      xr.(cri.(p)) <- vals.re.(cpos.(p));
+      xi.(cri.(p)) <- vals.im.(cpos.(p))
     done;
     for ti = !ntopo - 1 downto 0 do
       let k = topo.(ti) in
@@ -189,7 +203,7 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
     for ri = 0 to !nreach - 1 do
       let r = reach.(ri) in
       if pinv.(r) < 0 then begin
-        let a = Cx.abs (Cx.mk xr.(r) xi.(r)) in
+        let a = Float.hypot xr.(r) xi.(r) in
         if a > !amax then begin
           amax := a;
           arg := r
@@ -200,18 +214,20 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
     let pr =
       if
         mark.(c) = j && pinv.(c) < 0
-        && Cx.abs (Cx.mk xr.(c) xi.(c)) >= Float.max (0.1 *. !amax) tol
+        && Float.hypot xr.(c) xi.(c) >= Float.max (0.1 *. !amax) tol
       then c
       else !arg
     in
     pinv.(pr) <- j;
     prow.(j) <- pr;
-    let pv = Cx.mk xr.(pr) xi.(pr) in
+    let pvr = xr.(pr) and pvi = xi.(pr) in
     for ri = 0 to !nreach - 1 do
       let r = reach.(ri) in
       if pinv.(r) < 0 then begin
-        let z = Cx.( /: ) (Cx.mk xr.(r) xi.(r)) pv in
-        push_l r z.Cx.re z.Cx.im
+        grow_l ();
+        !li.(!ln) <- r;
+        div_into !lxr !lxi !ln xr.(r) xi.(r) pvr pvi;
+        incr ln
       end
     done;
     for ri = 0 to !nreach - 1 do
@@ -236,11 +252,11 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cx.t array) =
     cpos;
   }
 
-let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cx.t array) =
+let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cvec.t) =
   let p = t.plan in
   if Csr.rows csr <> p.n || Csr.cols csr <> p.n then
     invalid_arg "Csplu.refactorize: dimension mismatch";
-  if Array.length vals <> Csr.nnz csr then
+  if Cvec.dim vals <> Csr.nnz csr then
     invalid_arg "Csplu.refactorize: values/pattern length mismatch";
   let tol =
     match pivot_tol with Some tl -> tl | None -> default_tol vals
@@ -249,9 +265,8 @@ let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cx.t array) =
   let xi = Array.make (Stdlib.max p.n 1) 0.0 in
   for j = 0 to p.n - 1 do
     for pp = p.cp.(j) to p.cp.(j + 1) - 1 do
-      let z = vals.(p.cpos.(pp)) in
-      xr.(p.cri.(pp)) <- z.Cx.re;
-      xi.(p.cri.(pp)) <- z.Cx.im
+      xr.(p.cri.(pp)) <- vals.re.(p.cpos.(pp));
+      xi.(p.cri.(pp)) <- vals.im.(p.cpos.(pp))
     done;
     for pu = p.up.(j) to p.up.(j + 1) - 1 do
       let k = Array.unsafe_get p.ui pu in
@@ -271,17 +286,15 @@ let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cx.t array) =
         done
     done;
     let pr = p.prow.(j) in
-    let pv = Cx.mk xr.(pr) xi.(pr) in
-    if Cx.abs pv < tol then raise (Singular p.q.(j));
-    t.dxr.(j) <- pv.Cx.re;
-    t.dxi.(j) <- pv.Cx.im;
+    let pvr = xr.(pr) and pvi = xi.(pr) in
+    if Float.hypot pvr pvi < tol then raise (Singular p.q.(j));
+    t.dxr.(j) <- pvr;
+    t.dxi.(j) <- pvi;
     xr.(pr) <- 0.0;
     xi.(pr) <- 0.0;
     for pl = p.lp.(j) to p.lp.(j + 1) - 1 do
       let r = p.li.(pl) in
-      let z = Cx.( /: ) (Cx.mk xr.(r) xi.(r)) pv in
-      t.lxr.(pl) <- z.Cx.re;
-      t.lxi.(pl) <- z.Cx.im;
+      div_into t.lxr t.lxi pl xr.(r) xi.(r) pvr pvi;
       xr.(r) <- 0.0;
       xi.(r) <- 0.0
     done;
@@ -310,97 +323,93 @@ let factorize ?pivot_tol plan csr vals =
   refactorize ?pivot_tol t csr vals;
   t
 
-let solve_into t ~scratch b x =
+let check_solve name n (scratch : Cvec.t) (b : Cvec.t) (x : Cvec.t) =
+  if Cvec.dim b <> n || Cvec.dim x <> n || Cvec.dim scratch <> n then
+    invalid_arg ("Csplu." ^ name ^ ": dimension mismatch");
+  if x.re == b.re || x.re == scratch.re || scratch.re == b.re then
+    invalid_arg ("Csplu." ^ name ^ ": arrays must be distinct")
+
+let solve_into t ~(scratch : Cvec.t) (b : Cvec.t) (x : Cvec.t) =
   let p = t.plan in
   let n = p.n in
-  if Array.length b <> n || Array.length x <> n || Array.length scratch <> n
-  then invalid_arg "Csplu.solve_into: dimension mismatch";
-  if x == b || x == scratch || scratch == b then
-    invalid_arg "Csplu.solve_into: arrays must be distinct";
-  let z = scratch in
+  check_solve "solve_into" n scratch b x;
+  let zre = scratch.re and zim = scratch.im in
   for k = 0 to n - 1 do
-    z.(k) <- b.(p.prow.(k))
+    zre.(k) <- b.re.(p.prow.(k));
+    zim.(k) <- b.im.(p.prow.(k))
   done;
   for k = 0 to n - 1 do
-    let zk = Array.unsafe_get z k in
-    let kr = zk.Cx.re and ki = zk.Cx.im in
+    let kr = Array.unsafe_get zre k and ki = Array.unsafe_get zim k in
     if kr <> 0.0 || ki <> 0.0 then
       for pl = p.lp.(k) to p.lp.(k + 1) - 1 do
         let pos = Array.unsafe_get p.pinv (Array.unsafe_get p.li pl) in
         let lr = Array.unsafe_get t.lxr pl
         and l_i = Array.unsafe_get t.lxi pl in
-        let zp = Array.unsafe_get z pos in
-        Array.unsafe_set z pos
-          (Cx.mk
-             (zp.Cx.re -. ((lr *. kr) -. (l_i *. ki)))
-             (zp.Cx.im -. ((lr *. ki) +. (l_i *. kr))))
+        Array.unsafe_set zre pos
+          (Array.unsafe_get zre pos -. ((lr *. kr) -. (l_i *. ki)));
+        Array.unsafe_set zim pos
+          (Array.unsafe_get zim pos -. ((lr *. ki) +. (l_i *. kr)))
       done
   done;
   for j = n - 1 downto 0 do
-    let wj =
-      Cx.( /: ) (Array.unsafe_get z j) (Cx.mk t.dxr.(j) t.dxi.(j))
-    in
-    x.(p.q.(j)) <- wj;
-    let wr = wj.Cx.re and wi = wj.Cx.im in
+    (* w_j = z_j / d_j, stored straight into x.(q.(j)) *)
+    let qj = p.q.(j) in
+    div_into x.re x.im qj (Array.unsafe_get zre j) (Array.unsafe_get zim j)
+      t.dxr.(j) t.dxi.(j);
+    let wr = x.re.(qj) and wi = x.im.(qj) in
     if wr <> 0.0 || wi <> 0.0 then
       for pu = p.up.(j) to p.up.(j + 1) - 1 do
         let k = Array.unsafe_get p.ui pu in
         let ur = Array.unsafe_get t.uxr pu
         and u_i = Array.unsafe_get t.uxi pu in
-        let zk = Array.unsafe_get z k in
-        Array.unsafe_set z k
-          (Cx.mk
-             (zk.Cx.re -. ((ur *. wr) -. (u_i *. wi)))
-             (zk.Cx.im -. ((ur *. wi) +. (u_i *. wr))))
+        Array.unsafe_set zre k
+          (Array.unsafe_get zre k -. ((ur *. wr) -. (u_i *. wi)));
+        Array.unsafe_set zim k
+          (Array.unsafe_get zim k -. ((ur *. wi) +. (u_i *. wr)))
       done
   done
 
 let solve t b =
   let n = t.plan.n in
-  let x = Array.make n Cx.zero in
-  solve_into t ~scratch:(Array.make n Cx.zero) b x;
+  let x = Cvec.create n in
+  solve_into t ~scratch:(Cvec.create n) b x;
   x
 
-let solve_transpose_into t ~scratch b x =
+let solve_transpose_into t ~(scratch : Cvec.t) (b : Cvec.t) (x : Cvec.t) =
   let p = t.plan in
   let n = p.n in
-  if Array.length b <> n || Array.length x <> n || Array.length scratch <> n
-  then invalid_arg "Csplu.solve_transpose_into: dimension mismatch";
-  if x == b || x == scratch || scratch == b then
-    invalid_arg "Csplu.solve_transpose_into: arrays must be distinct";
-  let w = scratch in
+  check_solve "solve_transpose_into" n scratch b x;
+  let wre = scratch.re and wim = scratch.im in
   for j = 0 to n - 1 do
-    let bj = b.(p.q.(j)) in
-    let sr = ref bj.Cx.re and si = ref bj.Cx.im in
+    let sr = ref b.re.(p.q.(j)) and si = ref b.im.(p.q.(j)) in
     for pu = p.up.(j) to p.up.(j + 1) - 1 do
-      let wk = Array.unsafe_get w (Array.unsafe_get p.ui pu) in
+      let k = Array.unsafe_get p.ui pu in
+      let wr = Array.unsafe_get wre k and wi = Array.unsafe_get wim k in
       let ur = Array.unsafe_get t.uxr pu
       and u_i = Array.unsafe_get t.uxi pu in
-      sr := !sr -. ((ur *. wk.Cx.re) -. (u_i *. wk.Cx.im));
-      si := !si -. ((ur *. wk.Cx.im) +. (u_i *. wk.Cx.re))
+      sr := !sr -. ((ur *. wr) -. (u_i *. wi));
+      si := !si -. ((ur *. wi) +. (u_i *. wr))
     done;
-    w.(j) <- Cx.( /: ) (Cx.mk !sr !si) (Cx.mk t.dxr.(j) t.dxi.(j))
+    div_into wre wim j !sr !si t.dxr.(j) t.dxi.(j)
   done;
   for k = n - 1 downto 0 do
-    let wk = w.(k) in
-    let sr = ref wk.Cx.re and si = ref wk.Cx.im in
+    let sr = ref wre.(k) and si = ref wim.(k) in
     for pl = p.lp.(k) to p.lp.(k + 1) - 1 do
-      let wv =
-        Array.unsafe_get w
-          (Array.unsafe_get p.pinv (Array.unsafe_get p.li pl))
-      in
+      let pos = Array.unsafe_get p.pinv (Array.unsafe_get p.li pl) in
+      let wr = Array.unsafe_get wre pos and wi = Array.unsafe_get wim pos in
       let lr = Array.unsafe_get t.lxr pl
       and l_i = Array.unsafe_get t.lxi pl in
-      sr := !sr -. ((lr *. wv.Cx.re) -. (l_i *. wv.Cx.im));
-      si := !si -. ((lr *. wv.Cx.im) +. (l_i *. wv.Cx.re))
+      sr := !sr -. ((lr *. wr) -. (l_i *. wi));
+      si := !si -. ((lr *. wi) +. (l_i *. wr))
     done;
-    let s = Cx.mk !sr !si in
-    w.(k) <- s;
-    x.(p.prow.(k)) <- s
+    wre.(k) <- !sr;
+    wim.(k) <- !si;
+    x.re.(p.prow.(k)) <- !sr;
+    x.im.(p.prow.(k)) <- !si
   done
 
 let solve_transpose t b =
   let n = t.plan.n in
-  let x = Array.make n Cx.zero in
-  solve_transpose_into t ~scratch:(Array.make n Cx.zero) b x;
+  let x = Cvec.create n in
+  solve_transpose_into t ~scratch:(Cvec.create n) b x;
   x

@@ -6,12 +6,13 @@
     and every timestep.
 
     A complex matrix is represented as a real {!Csr.t} carrying the
-    pattern (its value array is ignored) plus a [Cx.t array] of values
+    pattern (its value array is ignored) plus a {!Cvec.t} of values
     aligned position-for-position with the pattern's storage — writing
     values at positions from {!Csr.index} keeps the two in sync.
 
     Solves are re-entrant: caller-provided scratch, no internal
-    mutation, safe against one factorization from many domains. *)
+    mutation, safe against one factorization from many domains.  The
+    [_into] solves allocate nothing. *)
 
 type plan
 type t
@@ -21,16 +22,15 @@ exception Singular of int
     {!Splu.Singular}. *)
 
 val plan :
-  ?ordering:Symbolic.ordering -> ?pivot_tol:float -> Csr.t -> Cx.t array ->
-  plan
+  ?ordering:Symbolic.ordering -> ?pivot_tol:float -> Csr.t -> Cvec.t -> plan
 (** [plan pat vals] analyzes the pattern [pat] with representative
     complex values [vals] (length [Csr.nnz pat]). *)
 
 val plan_dim : plan -> int
 val dim : t -> int
 
-val factorize : ?pivot_tol:float -> plan -> Csr.t -> Cx.t array -> t
-val refactorize : ?pivot_tol:float -> t -> Csr.t -> Cx.t array -> unit
+val factorize : ?pivot_tol:float -> plan -> Csr.t -> Cvec.t -> t
+val refactorize : ?pivot_tol:float -> t -> Csr.t -> Cvec.t -> unit
 
 val solve_into : t -> scratch:Cvec.t -> Cvec.t -> Cvec.t -> unit
 (** [solve_into t ~scratch b x] solves [A·x = b]; [b], [x] and

@@ -33,7 +33,9 @@ let get t i j = match index t i j with
   | p -> t.v.(p)
   | exception Not_found -> 0.0
 
-let add t i j x = t.v.(index t i j) <- t.v.(index t i j) +. x
+let add t i j x =
+  let p = index t i j in
+  t.v.(p) <- t.v.(p) +. x
 let add_at t p x = t.v.(p) <- t.v.(p) +. x
 let clear t = Array.fill t.v 0 (Array.length t.v) 0.0
 let copy t = { t with v = Array.copy t.v }
@@ -81,6 +83,31 @@ let to_dense t =
     done
   done;
   m
+
+(* entries of [f v] that are exact zeros (either sign) are dropped — the
+   rule [of_dense] applies, so mapping the CSR of a dense matrix equals
+   the CSR of the mapped dense matrix *)
+let filter_map_values f t =
+  let keep = Array.map f t.v in
+  let rp = Array.make (t.nr + 1) 0 in
+  let w = ref 0 in
+  let ci = Array.make (nnz t) 0 and v = Array.make (nnz t) 0.0 in
+  for i = 0 to t.nr - 1 do
+    rp.(i) <- !w;
+    for p = t.rp.(i) to t.rp.(i + 1) - 1 do
+      if Float.abs keep.(p) > 0.0 then begin
+        ci.(!w) <- t.ci.(p);
+        v.(!w) <- keep.(p);
+        incr w
+      end
+    done
+  done;
+  rp.(t.nr) <- !w;
+  make_unsafe ~rows:t.nr ~cols:t.nc ~rp ~ci:(Array.sub ci 0 !w)
+    ~v:(Array.sub v 0 !w)
+
+let drop_zeros t = filter_map_values Fun.id t
+let scale s t = filter_map_values (fun x -> s *. x) t
 
 let of_dense ?(drop_tol = 0.0) m =
   let nr = Mat.rows m and nc = Mat.cols m in

@@ -4,7 +4,7 @@
     fixed at construction; the value array [v] is mutable so a circuit's
     Jacobian can be re-stamped into the same pattern every Newton
     iteration / time step.  Complex matrices over the same pattern keep
-    their values in a separate [Cx.t array] aligned with [ci] (see
+    their values in a separate {!Cvec.t} aligned with [ci] (see
     {!Csplu}). *)
 
 type t = private {
@@ -33,7 +33,8 @@ val index : t -> int -> int -> int
     position is outside the pattern. *)
 
 val add : t -> int -> int -> float -> unit
-(** [add t i j x] accumulates [x] into the stored value at (i, j).
+(** [add t i j x] accumulates [x] into the stored value at (i, j) (one
+    binary search).
     Raises [Not_found] outside the pattern — a pattern-stable stamping
     discipline never does this. *)
 
@@ -55,6 +56,15 @@ val tmul_vec_into : t -> Vec.t -> Vec.t -> unit
 val mul_vec : t -> Vec.t -> Vec.t
 
 val to_dense : t -> Mat.t
+
+val drop_zeros : t -> t
+(** A new matrix without the stored entries that are exact zeros (of
+    either sign): [drop_zeros (Coo.to_csr coo)] is what
+    [of_dense] of the same stamps in a dense matrix gives. *)
+
+val scale : float -> t -> t
+(** [scale s a] is [s·A] as a new matrix, entries that round to zero
+    dropped — equal to [of_dense (Mat.scale s (to_dense a))]. *)
 
 val of_dense : ?drop_tol:float -> Mat.t -> t
 (** Entries with magnitude ≤ [drop_tol] (default 0., i.e. keep exact

@@ -1,15 +1,19 @@
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-(* in-place iterative radix-2 Cooley-Tukey, decimation in time *)
-let fft_pow2 ~inverse (a : Cx.t array) =
-  let n = Array.length a in
+(* in-place iterative radix-2 Cooley-Tukey, decimation in time; the
+   butterflies and twiddle products follow Complex.mul/add/sub *)
+let fft_pow2 ~inverse (a : Cvec.t) =
+  let re = a.re and im = a.im in
+  let n = Array.length re in
   (* bit reversal permutation *)
   let j = ref 0 in
   for i = 0 to n - 2 do
     if i < !j then begin
-      let t = a.(i) in
-      a.(i) <- a.(!j);
-      a.(!j) <- t
+      let tr = re.(i) and ti = im.(i) in
+      re.(i) <- re.(!j);
+      im.(i) <- im.(!j);
+      re.(!j) <- tr;
+      im.(!j) <- ti
     end;
     let m = ref (n lsr 1) in
     while !m >= 1 && !j land !m <> 0 do
@@ -22,70 +26,79 @@ let fft_pow2 ~inverse (a : Cx.t array) =
   let len = ref 2 in
   while !len <= n do
     let ang = sign *. 2.0 *. Float.pi /. float_of_int !len in
-    let wlen = Cx.exp_i ang in
+    let wlr = cos ang and wli = sin ang in
+    let half = !len / 2 in
     let i = ref 0 in
     while !i < n do
-      let w = ref Cx.one in
-      for k = 0 to (!len / 2) - 1 do
-        let u = a.(!i + k) in
-        let v = Cx.( *: ) a.(!i + k + (!len / 2)) !w in
-        a.(!i + k) <- Cx.( +: ) u v;
-        a.(!i + k + (!len / 2)) <- Cx.( -: ) u v;
-        w := Cx.( *: ) !w wlen
+      let wr = ref 1.0 and wi = ref 0.0 in
+      for k = 0 to half - 1 do
+        let p = !i + k and q = !i + k + half in
+        let ur = re.(p) and ui = im.(p) in
+        let vr = (re.(q) *. !wr) -. (im.(q) *. !wi)
+        and vi = (re.(q) *. !wi) +. (im.(q) *. !wr) in
+        re.(p) <- ur +. vr;
+        im.(p) <- ui +. vi;
+        re.(q) <- ur -. vr;
+        im.(q) <- ui -. vi;
+        let wr' = (!wr *. wlr) -. (!wi *. wli) in
+        wi := (!wr *. wli) +. (!wi *. wlr);
+        wr := wr'
       done;
       i := !i + !len
     done;
     len := !len lsl 1
   done
 
-let dft_direct ~inverse x =
-  let n = Array.length x in
+let dft_direct ~inverse (x : Cvec.t) =
+  let n = Cvec.dim x in
   let sign = if inverse then 1.0 else -1.0 in
-  Array.init n (fun k ->
-      let s = ref Cx.zero in
-      for j = 0 to n - 1 do
-        let ang = sign *. 2.0 *. Float.pi *. float_of_int (k * j) /. float_of_int n in
-        s := Cx.( +: ) !s (Cx.( *: ) x.(j) (Cx.exp_i ang))
-      done;
-      !s)
+  let y = Cvec.create n in
+  for k = 0 to n - 1 do
+    let sr = ref 0.0 and si = ref 0.0 in
+    for j = 0 to n - 1 do
+      let ang = sign *. 2.0 *. Float.pi *. float_of_int (k * j) /. float_of_int n in
+      let c = cos ang and s = sin ang in
+      sr := !sr +. ((x.re.(j) *. c) -. (x.im.(j) *. s));
+      si := !si +. ((x.re.(j) *. s) +. (x.im.(j) *. c))
+    done;
+    y.re.(k) <- !sr;
+    y.im.(k) <- !si
+  done;
+  y
 
-let dft x =
-  let n = Array.length x in
-  if n = 0 then [||]
-  else if is_pow2 n then begin
-    let a = Array.copy x in
-    fft_pow2 ~inverse:false a;
+let transform ~inverse x =
+  if is_pow2 (Cvec.dim x) then begin
+    let a = Cvec.copy x in
+    fft_pow2 ~inverse a;
     a
   end
-  else dft_direct ~inverse:false x
+  else dft_direct ~inverse x
+
+let dft x = transform ~inverse:false x
 
 let idft x =
-  let n = Array.length x in
-  if n = 0 then [||]
-  else begin
-    let y =
-      if is_pow2 n then begin
-        let a = Array.copy x in
-        fft_pow2 ~inverse:true a;
-        a
-      end
-      else dft_direct ~inverse:true x
-    in
-    let inv_n = 1.0 /. float_of_int n in
-    Array.map (Cx.scale inv_n) y
-  end
+  let n = Cvec.dim x in
+  let y = transform ~inverse:true x in
+  let inv_n = 1.0 /. float_of_int n in
+  for k = 0 to n - 1 do
+    y.re.(k) <- inv_n *. y.re.(k);
+    y.im.(k) <- inv_n *. y.im.(k)
+  done;
+  y
 
 let dft_real v = dft (Cvec.of_real v)
 
 let fourier_coefficient samples k =
   let n = Array.length samples in
   if n = 0 then invalid_arg "Fft.fourier_coefficient: empty";
-  let s = ref Cx.zero in
+  let sr = ref 0.0 and si = ref 0.0 in
   for j = 0 to n - 1 do
     let ang = -2.0 *. Float.pi *. float_of_int (k * j) /. float_of_int n in
-    s := Cx.( +: ) !s (Cx.scale samples.(j) (Cx.exp_i ang))
+    sr := !sr +. (samples.(j) *. cos ang);
+    si := !si +. (samples.(j) *. sin ang)
   done;
-  Cx.scale (1.0 /. float_of_int n) !s
+  let inv_n = 1.0 /. float_of_int n in
+  Cx.mk (inv_n *. !sr) (inv_n *. !si)
 
 let harmonic_amplitude samples k =
   let c = fourier_coefficient samples k in

@@ -1,12 +1,13 @@
 (* Restarted complex GMRES(k) with modified Gram-Schmidt Arnoldi and an
    incremental Givens-rotation least-squares solve.
 
-   Everything the inner loop touches lives in the caller-provided
-   workspace: the k+1 Krylov basis vectors, the Hessenberg columns, the
-   rotation cosines/sines and the rotated residual vector.  One
-   [solve] performs no allocation beyond what [make_ws] reserved, so
-   the engines can run it inside per-lane workspaces without touching
-   the GC. *)
+   Every length-n vector the solve touches lives in the caller-provided
+   workspace: the k+1 Krylov basis vectors and the residual, correction
+   and best-iterate scratch, all in split re/im storage (Cvec).  What a
+   [solve] allocates beyond [make_ws] is the boxed Hessenberg, Givens
+   and least-squares scalars — O(k) small records per Arnoldi step,
+   independent of n — so the engines can run it inside per-lane
+   workspaces without O(n) garbage. *)
 
 type ws = {
   n : int;
@@ -127,8 +128,10 @@ let solve ?(tol = 1e-12) ?(max_restarts = 8) ?precond ~apply ws ~b ~x =
       apply_op ~apply ~precond:None ws x ws.r;
       (* note: x is already in unpreconditioned space; precond only
          wraps the Krylov directions, so the residual uses plain A *)
+      let v0 = ws.v.(0) in
       for i = 0 to n - 1 do
-        ws.v.(0).(i) <- Cx.( -: ) b.(i) ws.r.(i)
+        v0.re.(i) <- b.re.(i) -. ws.r.re.(i);
+        v0.im.(i) <- b.im.(i) -. ws.r.im.(i)
       done;
       Cvec.norm2 ws.v.(0)
     in

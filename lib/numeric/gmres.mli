@@ -6,9 +6,10 @@
     must never be formed densely (docs/solver.md, "Matrix-free
     shooting").
 
-    The inner Arnoldi loop is allocation-free: the caller provides a
-    {!ws} workspace holding the Krylov basis, the Hessenberg columns and
-    the Givens-rotation state, in the style of the [solve_into] kernels.
+    The caller provides a {!ws} workspace holding the Krylov basis, the
+    Hessenberg columns and the Givens-rotation state, in the style of
+    the [solve_into] kernels; a solve allocates nothing proportional to
+    the dimension, only O(restart) boxed scalars per Arnoldi step.
     The least-squares problem is solved incrementally by Givens
     rotations, so the residual norm is available at every iteration for
     free.

@@ -286,15 +286,11 @@ let factorize ?pivot_tol plan csr =
 
 (* A·Q = L'·U' with L' unit-diagonal at the pivot positions, so
    A x = b  ⇔  L' z = b (forward, pivot coordinates), U' w = z
-   (backward), x.(q.(j)) = w.(j). *)
-let solve_into t ~scratch b x =
+   (backward), x.(q.(j)) = w.(j).  [b] is read only by the first loop,
+   so [x] may alias it. *)
+let solve_unchecked t z b x =
   let p = t.plan in
   let n = p.n in
-  if Array.length b <> n || Array.length x <> n || Array.length scratch <> n
-  then invalid_arg "Splu.solve_into: dimension mismatch";
-  if x == b || x == scratch || scratch == b then
-    invalid_arg "Splu.solve_into: arrays must be distinct";
-  let z = scratch in
   for k = 0 to n - 1 do
     z.(k) <- b.(p.prow.(k))
   done;
@@ -319,6 +315,14 @@ let solve_into t ~scratch b x =
       done
   done
 
+let solve_into t ~scratch b x =
+  let n = t.plan.n in
+  if Array.length b <> n || Array.length x <> n || Array.length scratch <> n
+  then invalid_arg "Splu.solve_into: dimension mismatch";
+  if x == b || x == scratch || scratch == b then
+    invalid_arg "Splu.solve_into: arrays must be distinct";
+  solve_unchecked t scratch b x
+
 let solve t b =
   let n = t.plan.n in
   let x = Array.make n 0.0 in
@@ -327,9 +331,10 @@ let solve t b =
 
 let solve_inplace t ~scratch b =
   let n = t.plan.n in
-  let x = Array.make n 0.0 in
-  solve_into t ~scratch b x;
-  Array.blit x 0 b 0 n
+  if Array.length b <> n || Array.length scratch <> n then
+    invalid_arg "Splu.solve_inplace: dimension mismatch";
+  if scratch == b then invalid_arg "Splu.solve_inplace: scratch aliases b";
+  solve_unchecked t scratch b b
 
 (* Aᵀ x = b  ⇔  U'ᵀ u = Qᵀ b (forward over U columns ascending),
    L'ᵀ w = u (backward over L columns descending), x.(prow.(k)) = w.(k). *)

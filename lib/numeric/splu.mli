@@ -54,8 +54,8 @@ val solve_into : t -> scratch:Vec.t -> Vec.t -> Vec.t -> unit
 val solve : t -> Vec.t -> Vec.t
 
 val solve_inplace : t -> scratch:Vec.t -> Vec.t -> unit
-(** [solve_inplace t ~scratch b] overwrites [b] with the solution;
-    [scratch] must not alias [b]. *)
+(** [solve_inplace t ~scratch b] overwrites [b] with the solution
+    without allocating; [scratch] must not alias [b]. *)
 
 val solve_transpose_into : t -> scratch:Vec.t -> Vec.t -> Vec.t -> unit
 (** [solve_transpose_into t ~scratch b x] solves [Aᵀ·x = b]; the three

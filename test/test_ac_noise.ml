@@ -45,9 +45,9 @@ let test_ac_adjoint_consistency () =
   let row = Circuit.node_row c "out" in
   let inj = [ (row, 1.0) ] in
   let direct = Ac.solve ac ~freq ~input:(Ac.Injection inj) in
-  let via_adjoint = lambda.(row) in
+  let via_adjoint = Cvec.get lambda row in
   Alcotest.(check bool) "adjoint = direct" true
-    (Cx.close ~tol:1e-10 direct.(row) via_adjoint)
+    (Cx.close ~tol:1e-10 (Cvec.get direct row) via_adjoint)
 
 let test_ac_common_source_gain () =
   (* common-source amp: |gain| = gm*(ro || RL) at low frequency *)

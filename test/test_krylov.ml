@@ -29,30 +29,66 @@ let test_gmres_dense_system () =
     for i = 0 to n - 1 do
       let acc = ref Cx.zero in
       for j = 0 to n - 1 do
-        acc := Cx.( +: ) !acc (Cx.( *: ) a.(i).(j) v.(j))
+        acc := Cx.( +: ) !acc (Cx.( *: ) a.(i).(j) (Cvec.get v j))
       done;
-      dst.(i) <- !acc
+      Cvec.set dst i !acc
     done
   in
-  let b = Array.init n (fun _ ->
+  let b = Cvec.init n (fun _ ->
       Cx.mk (Rng.uniform_range rng (-1.0) 1.0) (Rng.uniform_range rng (-1.0) 1.0))
   in
-  let x = Array.make n Cx.zero in
+  let x = Cvec.create n in
   let ws = Gmres.make_ws ~n ~restart:12 in
   let stats = Gmres.solve ws ~apply ~b ~x in
   Alcotest.(check bool) "converged" true stats.Gmres.converged;
   (* residual check against the operator itself *)
-  let r = Array.make n Cx.zero in
+  let r = Cvec.create n in
   apply x r;
   let err = ref 0.0 and scale = ref 0.0 in
   for i = 0 to n - 1 do
-    err := Float.max !err (Cx.abs (Cx.( -: ) b.(i) r.(i)));
-    scale := Float.max !scale (Cx.abs b.(i))
+    err := Float.max !err (Cx.abs (Cx.( -: ) (Cvec.get b i) (Cvec.get r i)));
+    scale := Float.max !scale (Cx.abs (Cvec.get b i))
   done;
   Alcotest.(check bool)
     (Printf.sprintf "residual %.2g" (!err /. !scale))
     true
     (!err < 1e-10 *. !scale)
+
+(* The workspace holds every length-n vector, so what one solve
+   allocates is its O(restart) boxed Hessenberg/Givens scalars and
+   nothing proportional to n.  A diagonal operator with three distinct
+   eigenvalues converges in the same few Arnoldi steps at any n, so the
+   minor words of one solve must not change from n = 64 to n = 4096. *)
+let test_gmres_allocation_independent_of_n () =
+  let solve_words n =
+    let d = Array.init n (fun i -> float_of_int (1 lsl (i mod 3))) in
+    let apply (v : Cvec.t) (dst : Cvec.t) =
+      for i = 0 to n - 1 do
+        dst.re.(i) <- d.(i) *. v.re.(i);
+        dst.im.(i) <- d.(i) *. v.im.(i)
+      done
+    in
+    let ws = Gmres.make_ws ~n ~restart:Gmres.default_restart in
+    let b = Cvec.init n (fun i -> Cx.mk 1.0 (float_of_int (i mod 5))) in
+    let x = Cvec.create n in
+    let solve () =
+      Cvec.fill x Cx.zero;
+      Gmres.solve ~apply ws ~b ~x
+    in
+    ignore (solve ());
+    let w0 = Gc.minor_words () in
+    let stats = solve () in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "n=%d converged" n)
+      true stats.Gmres.converged;
+    (words, stats.Gmres.iterations)
+  in
+  let w_small, it_small = solve_words 64 in
+  let w_large, it_large = solve_words 4096 in
+  Alcotest.(check int) "same Arnoldi steps" it_small it_large;
+  Alcotest.(check (float 0.0)) "same minor words at n=64 and n=4096" w_small
+    w_large
 
 (* ------------------------------------------- random driven circuits *)
 
@@ -218,12 +254,9 @@ let test_lptv_stagnation_fallback () =
   Alcotest.(check (float 0.0)) "total_psd bit-identical" psd_dense psd_faulted;
   let identical = ref true in
   Array.iteri
-    (fun k pk ->
-      Array.iteri
-        (fun i z ->
-          let w = p_dense.(k).(i) in
-          if z.Cx.re <> w.Cx.re || z.Cx.im <> w.Cx.im then identical := false)
-        pk)
+    (fun k (pk : Cvec.t) ->
+      let w = p_dense.(k) in
+      if pk.re <> w.Cvec.re || pk.im <> w.Cvec.im then identical := false)
     p_faulted;
   Alcotest.(check bool) "responses bit-identical" true !identical
 
@@ -273,7 +306,12 @@ let test_bits_dac64_pnoise () =
 let () =
   Alcotest.run "krylov"
     [
-      ("gmres", [ Alcotest.test_case "dense system" `Quick test_gmres_dense_system ]);
+      ( "gmres",
+        [
+          Alcotest.test_case "dense system" `Quick test_gmres_dense_system;
+          Alcotest.test_case "allocation independent of n" `Quick
+            test_gmres_allocation_independent_of_n;
+        ] );
       ( "parity",
         QCheck_alcotest.to_alcotest prop_floquet_parity
         :: QCheck_alcotest.to_alcotest prop_pnoise_parity

@@ -111,7 +111,7 @@ let test_clu_solve () =
         let base = Cx.mk (Rng.uniform rng -. 0.5) (Rng.uniform rng -. 0.5) in
         if i = j then Cx.( +: ) base (Cx.re 4.0) else base)
   in
-  let x_true = Array.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng)) in
+  let x_true = Cvec.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng)) in
   let b = Cmat.mul_vec a x_true in
   let x = Clu.solve_dense a b in
   let err = Cvec.norm_inf (Cvec.sub x x_true) in
@@ -126,7 +126,7 @@ let test_clu_transpose () =
         if i = j then Cx.( +: ) base (Cx.re 3.0) else base)
   in
   let lu = Clu.factorize a in
-  let b = Array.init n (fun _ -> Cx.mk (Rng.gaussian rng) 0.0) in
+  let b = Cvec.init n (fun _ -> Cx.mk (Rng.gaussian rng) 0.0) in
   let x = Clu.solve_transpose lu b in
   let residual = Cvec.sub (Cmat.tmul_vec a x) b in
   Alcotest.(check bool) "clu transpose solve" true (Cvec.norm_inf residual < 1e-9)
@@ -141,11 +141,8 @@ let check_floats_exact msg a b =
   Alcotest.(check (array (float 0.0))) msg a b
 
 let check_cvec_exact msg (a : Cvec.t) (b : Cvec.t) =
-  Array.iteri
-    (fun i (z : Cx.t) ->
-      Alcotest.(check (float 0.0)) (msg ^ " re") z.Cx.re b.(i).Cx.re;
-      Alcotest.(check (float 0.0)) (msg ^ " im") z.Cx.im b.(i).Cx.im)
-    a
+  check_floats_exact (msg ^ " re") a.re b.re;
+  check_floats_exact (msg ^ " im") a.im b.im
 
 let test_mat_vec_into () =
   let rng = Rng.create 31 in
@@ -191,7 +188,7 @@ let test_clu_solve_into () =
     let a = random_cmatrix rng n in
     let lu = Clu.factorize a in
     let b =
-      Array.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng))
+      Cvec.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng))
     in
     let x = Cvec.create n in
     Clu.solve_into lu b x;
@@ -206,7 +203,7 @@ let test_cvec_inplace () =
   let rng = Rng.create 34 in
   let n = 7 in
   let mk () =
-    Array.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng))
+    Cvec.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng))
   in
   let x = mk () and y = mk () in
   let expect_add = Cvec.add x y in
@@ -218,6 +215,44 @@ let test_cvec_inplace () =
   let w = Cvec.copy x in
   Cvec.scale_inplace a w;
   check_cvec_exact "scale_inplace = scale" expect_scale w
+
+(* Complex storage is split re/im float arrays precisely so that these
+   kernels stop allocating a box per entry: over 1000 calls they must
+   allocate no minor words at all (in the dev profile too, whose
+   -opaque boxes any cross-module float argument). *)
+let minor_words_per_call f =
+  let calls = 1000 in
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
+let test_complex_kernels_allocation_free () =
+  let rng = Rng.create 35 in
+  let n = 40 in
+  let lu = Clu.factorize (random_cmatrix rng n) in
+  let rand () =
+    Cvec.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng))
+  in
+  let b = rand () and y = rand () in
+  let x = Cvec.create n and scratch = Cvec.create n in
+  (* |a| = 1, so a thousand in-place scalings stay finite *)
+  let a = Cx.mk 0.6 0.8 in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.0)) (name ^ ": minor words per call") 0.0
+        (minor_words_per_call f))
+    [
+      ("Clu.solve_into", fun () -> Clu.solve_into lu b x);
+      ( "Clu.solve_transpose_into",
+        fun () -> Clu.solve_transpose_into lu ~scratch b x );
+      ("Cvec.axpy", fun () -> Cvec.axpy a b y);
+      ("Cvec.add_inplace", fun () -> Cvec.add_inplace y b);
+      ("Cvec.scale_inplace", fun () -> Cvec.scale_inplace a y);
+      ("Cvec.blit", fun () -> Cvec.blit b x);
+    ]
 
 (* ------------------------------------------------------------- Cholesky *)
 
@@ -381,11 +416,11 @@ let test_pow2_matches_direct () =
   let fast = Fft.dft x in
   (* compare against an explicitly non-power-of-two-padded direct DFT *)
   let direct =
-    Array.init n (fun k ->
+    Cvec.init n (fun k ->
         let s = ref Cx.zero in
         for j = 0 to n - 1 do
           let ang = -2.0 *. Float.pi *. float_of_int (k * j) /. float_of_int n in
-          s := Cx.( +: ) !s (Cx.( *: ) x.(j) (Cx.exp_i ang))
+          s := Cx.( +: ) !s (Cx.( *: ) (Cvec.get x j) (Cx.exp_i ang))
         done;
         !s)
   in
@@ -536,7 +571,9 @@ let prop_dft_parseval =
       let spectrum = Fft.dft_real x in
       let time_energy = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x in
       let freq_energy =
-        Array.fold_left (fun acc z -> acc +. Cx.abs2 z) 0.0 spectrum
+        List.fold_left
+          (fun acc k -> acc +. Cx.abs2 (Cvec.get spectrum k))
+          0.0 (List.init n Fun.id)
         /. float_of_int n
       in
       Float.abs (time_energy -. freq_energy)
@@ -583,6 +620,8 @@ let () =
           Alcotest.test_case "lu solve" `Quick test_lu_solve_into;
           Alcotest.test_case "clu solve" `Quick test_clu_solve_into;
           Alcotest.test_case "cvec inplace" `Quick test_cvec_inplace;
+          Alcotest.test_case "complex kernels allocation-free" `Quick
+            test_complex_kernels_allocation_free;
         ] );
       ( "cholesky",
         [

@@ -111,9 +111,9 @@ let test_lptv_lti_equals_ac () =
   Alcotest.(check bool)
     (Printf.sprintf "baseband = AC: got %s want %s"
        (Format.asprintf "%a" Cx.pp y0)
-       (Format.asprintf "%a" Cx.pp y_ac.(row)))
+       (Format.asprintf "%a" Cx.pp (Cvec.get y_ac row)))
     true
-    (Cx.close ~tol:1e-6 y0 y_ac.(row));
+    (Cx.close ~tol:1e-6 y0 (Cvec.get y_ac row));
   (* no folding in an LTI circuit *)
   let y1 = Lptv.harmonic_of_response lptv p ~row ~harmonic:1 in
   Alcotest.(check bool) "no sideband leakage" true (Cx.abs y1 < 1e-9 *. Cx.abs y0)
@@ -161,7 +161,7 @@ let test_lptv_adjoint_sample_equals_direct () =
   let lam = Lptv.adjoint_sample lptv ~row:out_row ~k in
   let inj = Lptv.constant_injection [ (in_row, 1e-6) ] in
   let p = Lptv.solve_source lptv inj in
-  let direct = p.(k).(out_row) in
+  let direct = Cvec.get p.(k) out_row in
   let via_adjoint = Lptv.apply lam inj in
   Alcotest.(check bool) "sample adjoint = direct" true
     (Cx.close ~tol:1e-7 direct via_adjoint)
@@ -195,7 +195,7 @@ let test_lptv_rlc_branch_rows () =
   let y0 = Lptv.harmonic_of_response lptv p ~row ~harmonic:0 in
   let ac = Ac.prepare c in
   let y_ac = Ac.solve ac ~freq:f ~input:(Ac.Injection [ (row, 1e-3) ]) in
-  Alcotest.(check bool) "rlc lptv = ac" true (Cx.close ~tol:1e-6 y0 y_ac.(row));
+  Alcotest.(check bool) "rlc lptv = ac" true (Cx.close ~tol:1e-6 y0 (Cvec.get y_ac row));
   (* the resonance peak exists where it should: f0 = 1/(2pi sqrt(LC)) *)
   let f_res = 1.0 /. (2.0 *. Float.pi *. sqrt (1e-6 *. 1e-9)) in
   let mag freq =

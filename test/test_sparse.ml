@@ -194,17 +194,17 @@ let test_csplu_vs_dense () =
     let c = Csr.of_dense m in
     let nnz = Csr.nnz c in
     let vals =
-      Array.init nnz (fun p ->
+      Cvec.init nnz (fun p ->
           Cx.mk c.Csr.v.(p) (Rng.uniform_range rng (-0.5) 0.5))
     in
     let dense = Cmat.create n n in
     for i = 0 to n - 1 do
       for p = c.Csr.rp.(i) to c.Csr.rp.(i + 1) - 1 do
-        Cmat.set dense i c.Csr.ci.(p) vals.(p)
+        Cmat.set dense i c.Csr.ci.(p) (Cvec.get vals p)
       done
     done;
     let f = Csplu.factorize (Csplu.plan c vals) c vals in
-    let b = Array.init n (fun _ ->
+    let b = Cvec.init n (fun _ ->
         Cx.mk (Rng.uniform_range rng (-1.0) 1.0)
           (Rng.uniform_range rng (-1.0) 1.0))
     in
@@ -212,8 +212,9 @@ let test_csplu_vs_dense () =
     let xd = Clu.solve_dense dense b in
     let err = ref 0.0 and scale = ref 1.0 in
     for i = 0 to n - 1 do
-      err := Float.max !err (Cx.abs (Cx.( -: ) xs.(i) xd.(i)));
-      scale := Float.max !scale (Cx.abs xd.(i))
+      err :=
+        Float.max !err (Cx.abs (Cx.( -: ) (Cvec.get xs i) (Cvec.get xd i)));
+      scale := Float.max !scale (Cx.abs (Cvec.get xd i))
     done;
     Alcotest.(check bool) "complex solve matches dense" true
       (!err < 1e-8 *. !scale);
@@ -221,11 +222,45 @@ let test_csplu_vs_dense () =
     let xtd = Clu.solve_transpose (Clu.factorize dense) b in
     let terr = ref 0.0 in
     for i = 0 to n - 1 do
-      terr := Float.max !terr (Cx.abs (Cx.( -: ) xts.(i) xtd.(i)))
+      terr :=
+        Float.max !terr (Cx.abs (Cx.( -: ) (Cvec.get xts i) (Cvec.get xtd i)))
     done;
     Alcotest.(check bool) "complex transpose matches dense" true
       (!terr < 1e-8 *. !scale)
   done
+
+(* the per-step solves of the LPTV recurrences and PNOISE: over 1000
+   calls they must allocate no minor words (split re/im storage, float
+   arithmetic indexed in place) *)
+let test_csplu_solves_allocation_free () =
+  let rng = Rng.create 98 in
+  let n = 60 in
+  let c = Csr.of_dense (random_sparse rng n ~fill:0.1) in
+  let vals =
+    Cvec.init (Csr.nnz c) (fun p ->
+        Cx.mk c.Csr.v.(p) (Rng.uniform_range rng (-0.5) 0.5))
+  in
+  let f = Csplu.factorize (Csplu.plan c vals) c vals in
+  let b =
+    Cvec.init n (fun _ ->
+        Cx.mk (Rng.uniform_range rng (-1.0) 1.0)
+          (Rng.uniform_range rng (-1.0) 1.0))
+  in
+  let x = Cvec.create n and scratch = Cvec.create n in
+  let words f =
+    let calls = 1000 in
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int calls
+  in
+  Alcotest.(check (float 0.0)) "solve_into: minor words per call" 0.0
+    (words (fun () -> Csplu.solve_into f ~scratch b x));
+  Alcotest.(check (float 0.0)) "solve_transpose_into: minor words per call"
+    0.0
+    (words (fun () -> Csplu.solve_transpose_into f ~scratch b x))
 
 (* ------------------------------------ engine-level parity (QCheck) *)
 
@@ -371,7 +406,11 @@ let () =
           Alcotest.test_case "singular detection" `Quick test_splu_singular;
         ] );
       ( "csplu",
-        [ Alcotest.test_case "solve vs dense" `Quick test_csplu_vs_dense ] );
+        [
+          Alcotest.test_case "solve vs dense" `Quick test_csplu_vs_dense;
+          Alcotest.test_case "solves allocation-free" `Quick
+            test_csplu_solves_allocation_free;
+        ] );
       ( "engine parity",
         QCheck_alcotest.to_alcotest prop_dc_parity
         :: QCheck_alcotest.to_alcotest prop_tran_parity
