@@ -186,10 +186,7 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
   let solve_with steps =
     let h = period /. float_of_int steps in
     let c_over_h =
-      lazy
-        (match c_mat with
-         | Linsys.Mdense m -> Linsys.Mdense (Mat.scale (1.0 /. h) m)
-         | Linsys.Msparse c -> Linsys.Msparse (Csr.scale (1.0 /. h) c))
+      lazy (Linsys.Msparse (Csr.scale (1.0 /. h) (Linsys.rmat_csr c_mat)))
     in
     let x0 = ref (Vec.copy x_init) in
     let rhist = ref [] in

@@ -233,6 +233,15 @@ let test_complex_kernels_allocation_free () =
   let rng = Rng.create 35 in
   let n = 40 in
   let lu = Clu.factorize (random_cmatrix rng n) in
+  let pat =
+    Csr.of_dense
+      (Mat.init n n (fun i j ->
+           if i = j then 4.0 else if abs (i - j) = 1 then 1.0 else 0.0))
+  in
+  let vals =
+    Cvec.init (Csr.nnz pat) (fun p -> Cx.mk pat.Csr.v.(p) (Rng.uniform rng -. 0.5))
+  in
+  let splu = Csplu.factorize (Csplu.plan pat vals) pat vals in
   let rand () =
     Cvec.init n (fun _ -> Cx.mk (Rng.gaussian rng) (Rng.gaussian rng))
   in
@@ -248,6 +257,9 @@ let test_complex_kernels_allocation_free () =
       ("Clu.solve_into", fun () -> Clu.solve_into lu b x);
       ( "Clu.solve_transpose_into",
         fun () -> Clu.solve_transpose_into lu ~scratch b x );
+      ("Csplu.solve_into", fun () -> Csplu.solve_into splu ~scratch b x);
+      ( "Csplu.solve_transpose_into",
+        fun () -> Csplu.solve_transpose_into splu ~scratch b x );
       ("Cvec.axpy", fun () -> Cvec.axpy a b y);
       ("Cvec.add_inplace", fun () -> Cvec.add_inplace y b);
       ("Cvec.scale_inplace", fun () -> Cvec.scale_inplace a y);

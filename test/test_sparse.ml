@@ -229,39 +229,6 @@ let test_csplu_vs_dense () =
       (!terr < 1e-8 *. !scale)
   done
 
-(* the per-step solves of the LPTV recurrences and PNOISE: over 1000
-   calls they must allocate no minor words (split re/im storage, float
-   arithmetic indexed in place) *)
-let test_csplu_solves_allocation_free () =
-  let rng = Rng.create 98 in
-  let n = 60 in
-  let c = Csr.of_dense (random_sparse rng n ~fill:0.1) in
-  let vals =
-    Cvec.init (Csr.nnz c) (fun p ->
-        Cx.mk c.Csr.v.(p) (Rng.uniform_range rng (-0.5) 0.5))
-  in
-  let f = Csplu.factorize (Csplu.plan c vals) c vals in
-  let b =
-    Cvec.init n (fun _ ->
-        Cx.mk (Rng.uniform_range rng (-1.0) 1.0)
-          (Rng.uniform_range rng (-1.0) 1.0))
-  in
-  let x = Cvec.create n and scratch = Cvec.create n in
-  let words f =
-    let calls = 1000 in
-    f ();
-    let w0 = Gc.minor_words () in
-    for _ = 1 to calls do
-      f ()
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int calls
-  in
-  Alcotest.(check (float 0.0)) "solve_into: minor words per call" 0.0
-    (words (fun () -> Csplu.solve_into f ~scratch b x));
-  Alcotest.(check (float 0.0)) "solve_transpose_into: minor words per call"
-    0.0
-    (words (fun () -> Csplu.solve_transpose_into f ~scratch b x))
-
 (* ------------------------------------ engine-level parity (QCheck) *)
 
 (* Random RC ladder behind a voltage source (the branch row gives the
@@ -406,11 +373,7 @@ let () =
           Alcotest.test_case "singular detection" `Quick test_splu_singular;
         ] );
       ( "csplu",
-        [
-          Alcotest.test_case "solve vs dense" `Quick test_csplu_vs_dense;
-          Alcotest.test_case "solves allocation-free" `Quick
-            test_csplu_solves_allocation_free;
-        ] );
+        [ Alcotest.test_case "solve vs dense" `Quick test_csplu_vs_dense ] );
       ( "engine parity",
         QCheck_alcotest.to_alcotest prop_dc_parity
         :: QCheck_alcotest.to_alcotest prop_tran_parity
