@@ -1,6 +1,6 @@
 (* Matrix-free scaling: dense vs sparse vs krylov LPTV build on the
    ≥500-unknown DAC-string deck (Dac_string.scale_params, 513 MNA
-   unknowns), swept over 1/2/4 domains, written to BENCH_scale.json.
+   unknowns), written to BENCH_scale.json.
 
    The PSS is solved once (sparse + krylov — it is not what is being
    measured) and shared by every mode, so the comparison isolates the
@@ -11,16 +11,14 @@
      krylov  Krylov  (sparse steps, matrix-free wrap, GMRES)
 
    Gates (the repo's acceptance criteria for the matrix-free path):
-   - every mode/domain reads the same total_psd within 1e-9 relative;
+   - every mode reads the same total_psd within 1e-9 relative;
    - krylov beats the dense build by >= 5x at equal steps;
    - the krylov path allocates no dense monodromy anywhere, asserted on
      the "pss.monodromy.dense"/"lptv.phi.dense" counters of an
-     instrumented pass;
-   - the krylov winner of the domain sweep is > 1 lane (full runs). *)
+     instrumented pass. *)
 
 type case = {
   mode : string;
-  domains : int;
   size : int;
   steps : int;
   n_sources : int;
@@ -34,28 +32,24 @@ let modes =
   [ ("dense", Linsys.Dense); ("sparse", Linsys.Sparse);
     ("krylov", Linsys.Krylov) ]
 
-let measure ~pss ~output ~sources_of ~mode ~solver ~domains =
+let measure ~pss ~output ~sources_of ~mode ~solver =
   let lptv, build_s =
-    Util.timed (fun () -> Lptv.build ~domains ~solver pss ~f_offset:1.0)
+    Util.timed (fun () -> Lptv.build ~solver pss ~f_offset:1.0)
   in
   let sources = sources_of lptv in
   let sb, analyze_s =
-    Util.timed (fun () ->
-        Pnoise.analyze ~domains lptv ~output ~harmonic:0 ~sources)
+    Util.timed (fun () -> Pnoise.analyze lptv ~output ~harmonic:0 ~sources)
   in
-  (* the Fig. 8 σ(t) envelope is the bench's parallel workload: one
-     adjoint sample per grid point (sources ≫ steps picks the adjoint
-     reading), each a wrap solve + backward recurrence, fanned over the
-     lanes — the single-sideband analyze above is too light to amortize
-     a pool at any size *)
+  (* the Fig. 8 σ(t) envelope: one adjoint sample per grid point
+     (sources ≫ steps picks the adjoint reading), each a wrap solve +
+     backward recurrence *)
   let _, sigma_s =
-    Util.timed (fun () -> Pnoise.sigma_waveform ~domains lptv ~output ~sources)
+    Util.timed (fun () -> Pnoise.sigma_waveform lptv ~output ~sources)
   in
-  Format.printf "  %7s %7d %10.3f %10.3f %10.3f %14.6e@." mode domains build_s
-    analyze_s sigma_s sb.Pnoise.total_psd;
+  Format.printf "  %7s %10.3f %10.3f %10.3f %14.6e@." mode build_s analyze_s
+    sigma_s sb.Pnoise.total_psd;
   {
     mode;
-    domains;
     size = Circuit.size pss.Pss.circuit;
     steps = pss.Pss.steps;
     n_sources = Array.length sources;
@@ -67,22 +61,18 @@ let measure ~pss ~output ~sources_of ~mode ~solver ~domains =
 
 let json_of_case c =
   Printf.sprintf
-    "    {\"mode\": %S, \"domains\": %d, \
-     \"size\": %d, \"steps\": %d, \"sources\": %d, \"build_s\": %.6f, \
-     \"analyze_s\": %.6f, \"sigma_s\": %.6f, \"total_psd\": %.17g}"
-    c.mode c.domains c.size c.steps c.n_sources c.build_s
-    c.analyze_s c.sigma_s c.total_psd
+    "    {\"mode\": %S, \"size\": %d, \"steps\": %d, \"sources\": %d, \
+     \"build_s\": %.6f, \"analyze_s\": %.6f, \"sigma_s\": %.6f, \
+     \"total_psd\": %.17g}"
+    c.mode c.size c.steps c.n_sources c.build_s c.analyze_s c.sigma_s
+    c.total_psd
 
-let write_json ~path ~host_cores ~measured_winner ~recommended_domains ~basis
-    ~speedup cases =
+let write_json ~path ~host_cores ~speedup cases =
   let oc = open_out path in
   output_string oc "{\n";
   Printf.fprintf oc "  \"bench\": \"scale\",\n";
   Printf.fprintf oc "  \"size\": %d,\n" (List.hd cases).size;
   Printf.fprintf oc "  \"host_cores\": %d,\n" host_cores;
-  Printf.fprintf oc "  \"measured_winner_domains\": %d,\n" measured_winner;
-  Printf.fprintf oc "  \"recommended_domains\": %d,\n" recommended_domains;
-  Printf.fprintf oc "  \"recommendation_basis\": %S,\n" basis;
   Printf.fprintf oc "  \"krylov_build_speedup_vs_dense\": %.2f,\n" speedup;
   Printf.fprintf oc "  \"psd_parity_tol\": 1e-9,\n";
   output_string oc "  \"cases\": [\n";
@@ -116,25 +106,15 @@ let run ~quick =
       cached := Some s;
       s
   in
-  (* the dense build at this size is the expensive reference: one lane
-     count under --quick, the full sweep otherwise *)
-  let domain_counts ~mode =
-    if quick && mode = "dense" then [ 1 ] else [ 1; 2; 4 ]
-  in
-  Format.printf "  %7s %7s %10s %10s %10s %14s@." "mode" "domains" "build [s]"
+  Format.printf "  %7s %10s %10s %10s %14s@." "mode" "build [s]"
     "pnoise [s]" "sigma [s]" "psd";
   let cases =
-    List.concat_map
-      (fun (mode, solver) ->
-        List.map
-          (fun domains -> measure ~pss ~output ~sources_of ~mode ~solver ~domains)
-          (domain_counts ~mode))
+    List.map
+      (fun (mode, solver) -> measure ~pss ~output ~sources_of ~mode ~solver)
       modes
   in
-  (* parity gate: every mode/domain must read the same physics *)
-  let reference =
-    List.find (fun c -> c.mode = "dense" && c.domains = 1) cases
-  in
+  (* parity gate: every mode must read the same physics *)
+  let reference = List.find (fun c -> c.mode = "dense") cases in
   List.iter
     (fun c ->
       let rel =
@@ -143,53 +123,19 @@ let run ~quick =
       in
       if rel > 1e-9 then
         failwith
-          (Printf.sprintf "PSD parity violation: %s domains=%d rel err %.3g"
-             c.mode c.domains rel))
+          (Printf.sprintf "PSD parity violation: %s rel err %.3g" c.mode rel))
     cases;
   Format.printf "  parity: all modes within 1e-9 relative of dense@.";
-  (* speedup gate at equal steps and 1 lane *)
-  let krylov1 = List.find (fun c -> c.mode = "krylov" && c.domains = 1) cases in
-  let speedup = reference.build_s /. Float.max 1e-9 krylov1.build_s in
-  Format.printf "  krylov build speedup vs dense (1 domain): %.1fx@." speedup;
+  (* speedup gate at equal steps *)
+  let krylov = List.find (fun c -> c.mode = "krylov") cases in
+  let speedup = reference.build_s /. Float.max 1e-9 krylov.build_s in
+  Format.printf "  krylov build speedup vs dense: %.1fx@." speedup;
   if speedup < 5.0 then
     failwith
       (Printf.sprintf "krylov build speedup %.2fx < 5x required" speedup);
-  (* the krylov winner of the domain sweep is what exp_perf-style JSON
-     consumers read as the deck's recommendation.  The measured winner
-     is only meaningful where the host can actually run lanes in
-     parallel; on a single-core host (1-core CI containers) every extra
-     domain is pure oversubscription, so the recommendation falls back
-     to the deck's parallel capacity — hundreds of independent sources
-     and dozens of independent grid points per phase, i.e. enough to
-     feed the full sweep width — with the basis recorded in the JSON so
-     the two cases cannot be confused. *)
-  let krylov_cases = List.filter (fun c -> c.mode = "krylov") cases in
-  let cost c = c.build_s +. c.analyze_s +. c.sigma_s in
-  let winner =
-    List.fold_left
-      (fun acc c -> if cost c < cost acc then c else acc)
-      (List.hd krylov_cases) krylov_cases
-  in
-  let host_cores = Stdlib.Domain.recommended_domain_count () in
-  let sweep_width =
-    List.fold_left (fun acc c -> Stdlib.max acc c.domains) 1 krylov_cases
-  in
-  let recommended_domains, basis =
-    if host_cores > 1 then (winner.domains, "measured")
-    else (Stdlib.min sweep_width (reference.steps / 8), "capacity(single-core host)")
-  in
-  Format.printf
-    "  krylov domain sweep: measured winner %d of [1;2;4] on a %d-core host \
-     -> recommended_domains %d (%s)@."
-    winner.domains host_cores recommended_domains basis;
-  if recommended_domains <= 1 then
-    if quick then
-      Format.printf
-        "  note: single-lane recommendation under --quick (reduced steps)@."
-    else
-      failwith "krylov domain sweep recommends 1 lane on a >=500-unknown deck";
-  write_json ~path:"BENCH_scale.json" ~host_cores
-    ~measured_winner:winner.domains ~recommended_domains ~basis ~speedup cases;
+  write_json ~path:"BENCH_scale.json"
+    ~host_cores:(Stdlib.Domain.recommended_domain_count ())
+    ~speedup cases;
   (* instrumented krylov pass: assert the matrix-free path never formed
      a dense monodromy/Φ, then leave the counter evidence next to the
      timings *)
@@ -197,15 +143,9 @@ let run ~quick =
       let pss =
         Pss.solve ~steps ~solver:Linsys.Krylov circuit ~period:(1.0 /. freq)
       in
-      let lptv =
-        Lptv.build ~domains:winner.domains ~solver:Linsys.Krylov pss
-          ~f_offset:1.0
-      in
+      let lptv = Lptv.build ~solver:Linsys.Krylov pss ~f_offset:1.0 in
       let sources = Pnoise.mismatch_sources lptv in
-      let sb =
-        Pnoise.analyze ~domains:winner.domains lptv ~output ~harmonic:0
-          ~sources
-      in
+      let sb = Pnoise.analyze lptv ~output ~harmonic:0 ~sources in
       let mono_dense = Obs.counter_value "pss.monodromy.dense" in
       let phi_dense = Obs.counter_value "lptv.phi.dense" in
       Obs.gauge "scale.dense_monodromy_allocations"

@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- table1 fig9 --quick
 
    Experiments: table1 table2 fig5 fig8 fig9 fig10 fig11 fig12 ablation
-   perf sparse scale yield bechamel *)
+   sparse scale yield bechamel *)
 
 let experiments =
   [
@@ -20,7 +20,6 @@ let experiments =
     ("fig11", Exp_fig11.run);
     ("fig12", Exp_fig12.run);
     ("ablation", Exp_ablation.run);
-    ("perf", Exp_perf.run);
     ("sparse", Exp_sparse.run);
     ("scale", Exp_scale.run);
     ("yield", Exp_yield.run);

@@ -23,8 +23,10 @@
    expiry (partial artifacts are still written first); 3 a sweep that
    completed but has failed points; 2 a usage error.
 
-   Global-ish options shared by the solver-heavy subcommands:
-     --domains N                 OCaml domains for the LPTV/PNOISE passes
+   Sample lanes (run, yield; docs/parallelism.md):
+     --domains N                 OCaml domains for the Monte Carlo and
+                                 yield samples; every LPTV/PNOISE pass
+                                 runs on one domain
    (the linear solver follows the circuit size: docs/solver.md)
 
    Resilience options (docs/robustness.md):
@@ -59,8 +61,9 @@ let deck_arg =
 
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
-         ~doc:"Number of OCaml domains for the parallel LPTV/PNOISE passes \
-               (results are bit-identical for any value)")
+         ~doc:"Sample lanes (OCaml domains) for the Monte Carlo ($(b,.mc)) \
+               and yield samples; results are bit-identical for any \
+               value, and every other analysis runs on one domain")
 
 (* ------------------------------------------------------------------ *)
 (* resilience options *)
@@ -285,21 +288,20 @@ let output_arg =
          ~docv:"NODE" ~doc:"Output node")
 
 let dcmatch_cmd =
-  let run path output domains res obs =
+  let run path output res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck ->
       handle_run
         (run_resilient obs res ~label:("dcmatch " ^ path)
            (fun ~policy ~budget ->
-             Spice_run.run_analysis ~domains ~policy ?budget
-               Format.std_formatter deck (Spice_ast.A_dc_match { output })))
+             Spice_run.run_analysis ~policy ?budget Format.std_formatter deck
+               (Spice_ast.A_dc_match { output })))
   in
   Cmd.v
     (Cmd.info "dcmatch"
        ~doc:"Classical DC match analysis (sigma of a DC node voltage)")
-    Term.(ret (const run $ deck_arg $ output_arg $ domains_arg $ res_term
-               $ obs_term))
+    Term.(ret (const run $ deck_arg $ output_arg $ res_term $ obs_term))
 
 let yield_cmd =
   let above_arg =
@@ -408,30 +410,29 @@ let period_arg =
          ~doc:"PSS fundamental period (suffixes allowed, e.g. 4n)")
 
 let mismatch_cmd =
-  let run path output period domains res obs =
+  let run path output period res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck ->
       handle_run
         (run_resilient obs res ~label:("mismatch " ^ path)
            (fun ~policy ~budget ->
-             Spice_run.run_analysis ~domains ~policy ?budget
-               Format.std_formatter deck
+             Spice_run.run_analysis ~policy ?budget Format.std_formatter deck
                (Spice_ast.A_mismatch_dc { output; period })))
   in
   Cmd.v
     (Cmd.info "mismatch"
        ~doc:"Pseudo-noise mismatch analysis of a DC-like performance \
              (PSS + LPTV baseband)")
-    Term.(ret (const run $ deck_arg $ output_arg $ period_arg $ domains_arg
-               $ res_term $ obs_term))
+    Term.(ret (const run $ deck_arg $ output_arg $ period_arg $ res_term
+               $ obs_term))
 
 let pnoise_cmd =
   let harmonic_arg =
     Arg.(value & opt int 0 & info [ "harmonic" ] ~docv:"N"
            ~doc:"Sideband harmonic index (0 = baseband)")
   in
-  let run path output period harmonic domains res obs =
+  let run path output period harmonic res obs =
     match read_deck path with
     | Error e -> fail_exit e
     | Ok deck ->
@@ -440,11 +441,9 @@ let pnoise_cmd =
            run_resilient obs res ~label:("pnoise " ^ path)
              (fun ~policy ~budget ->
                let circuit = deck.Spice_elab.circuit in
-               let ctx =
-                 Analysis.prepare ~domains ~policy ?budget circuit ~period
-               in
-               Pnoise.analyze ~domains ~policy ?budget ctx.Analysis.lptv
-                 ~output ~harmonic ~sources:ctx.Analysis.sources)
+               let ctx = Analysis.prepare ~policy ?budget circuit ~period in
+               Pnoise.analyze ~policy ?budget ctx.Analysis.lptv ~output
+                 ~harmonic ~sources:ctx.Analysis.sources)
          with
          | Ok sb ->
            Format.printf "%a@." Pnoise.pp_sideband sb;
@@ -456,7 +455,7 @@ let pnoise_cmd =
        ~doc:"Periodic pseudo-noise analysis: mismatch sideband PSD at an \
              output node, with per-source contributions")
     Term.(ret (const run $ deck_arg $ output_arg $ period_arg $ harmonic_arg
-               $ domains_arg $ res_term $ obs_term))
+               $ res_term $ obs_term))
 
 let demo_cmd =
   let demos = [ ("comparator", `Comparator); ("logicpath", `Logicpath);
@@ -465,7 +464,7 @@ let demo_cmd =
     Arg.(value & pos 0 (enum demos) `Ringosc & info [] ~docv:"DEMO"
            ~doc:"comparator | logicpath | ringosc")
   in
-  let run which domains res obs =
+  let run which res obs =
     handle_run
       (run_resilient obs res ~label:"demo" (fun ~policy ~budget ->
            match which with
@@ -473,7 +472,7 @@ let demo_cmd =
              let params = Strongarm.default_params in
              let circuit = Strongarm.testbench ~params () in
              let ctx =
-               Analysis.prepare ~steps:400 ~domains ~policy ?budget circuit
+               Analysis.prepare ~steps:400 ~policy ?budget circuit
                  ~period:params.Strongarm.clk_period
              in
              Format.printf "%a@." Report.pp
@@ -481,7 +480,7 @@ let demo_cmd =
            | `Logicpath ->
              let lp = Logic_path.build Logic_path.X_first in
              let ctx =
-               Analysis.prepare ~steps:800 ~domains ~policy ?budget
+               Analysis.prepare ~steps:800 ~policy ?budget
                  lp.Logic_path.circuit ~period:lp.Logic_path.period
              in
              let crossing =
@@ -509,7 +508,7 @@ let demo_cmd =
   in
   Cmd.v
     (Cmd.info "demo" ~doc:"Run a built-in benchmark circuit analysis")
-    Term.(ret (const run $ which $ domains_arg $ res_term $ obs_term))
+    Term.(ret (const run $ which $ res_term $ obs_term))
 
 (* ------------------------------------------------------------------ *)
 (* sweep: supervised characterization fan-out (docs/robustness.md) *)
@@ -675,18 +674,13 @@ let serve_cmd =
                  different connections are scheduled round-robin across \
                  them")
   in
-  let job_domains_arg =
-    Arg.(value & opt int 1 & info [ "job-domains" ] ~docv:"N"
-           ~doc:"Default LPTV/PNOISE domains per job (a request may \
-                 override with its own $(b,domains) field)")
-  in
   let log_arg =
     Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE"
            ~doc:"Append one JSON record per finished request to $(docv) \
                  (timestamp, request id, outcome, queue wait, latency, \
                  fingerprint, cache hit)")
   in
-  let run socket lanes job_domains cache_dir mem_cache log_path res obs =
+  let run socket lanes cache_dir mem_cache log_path res obs =
     (* serve always runs with at least the in-memory cache: the second
        identical submission answering from cache is the point of the
        daemon.  --cache DIR adds the durable tier. *)
@@ -703,7 +697,7 @@ let serve_cmd =
          | Error _ -> None)
     in
     let cfg =
-      Serve.default_config ~lanes ~job_domains ?cache
+      Serve.default_config ~lanes ?cache
         ?default_budget_s:res.budget_s ?log_path
         ~trace:(obs.trace <> None) socket
     in
@@ -725,9 +719,8 @@ let serve_cmd =
              JSON requests, fair round-robin lanes, a content-addressed \
              plan/result cache, streaming progress events and a clean \
              SIGTERM drain (docs/serving.md)")
-    Term.(ret (const run $ socket_arg $ lanes_arg $ job_domains_arg
-               $ cache_dir_arg $ mem_cache_arg $ log_arg $ res_term
-               $ obs_term))
+    Term.(ret (const run $ socket_arg $ lanes_arg $ cache_dir_arg
+               $ mem_cache_arg $ log_arg $ res_term $ obs_term))
 
 let submit_cmd =
   let stats_arg =
@@ -773,7 +766,7 @@ let submit_cmd =
       Printf.eprintf "varsim: %s done (%.3f s)\n%!" p dt
     | _ -> ()
   in
-  let run socket stats deck_path id steps f_offset domains progress res =
+  let run socket stats deck_path id steps f_offset progress res =
     if stats then
       match Serve.call ~socket_path:socket Serve.stats_request with
       | Error m -> fail_exit m
@@ -790,7 +783,7 @@ let submit_cmd =
         in
         let reqline =
           Serve.request_json ~id ?steps ?f_offset ?budget_s:res.budget_s
-            ~domains ~events:progress deck_text
+            ~events:progress deck_text
         in
         match
           Serve.call ~on_event:(if progress then on_event else fun _ -> ())
@@ -829,8 +822,7 @@ let submit_cmd =
              print the rendered result (exit codes match local runs: \
              124 on budget expiry, 123 on typed failure)")
     Term.(ret (const run $ socket_arg $ stats_arg $ deck_opt_arg $ id_arg
-               $ steps_arg $ f_offset_arg $ domains_arg $ progress_arg
-               $ res_term))
+               $ steps_arg $ f_offset_arg $ progress_arg $ res_term))
 
 (* ------------------------------------------------------------------ *)
 (* top: live daemon view over the stats/metrics ops

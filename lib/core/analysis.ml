@@ -2,7 +2,6 @@ type pss_context = {
   pss : Pss.t;
   lptv : Lptv.t;
   sources : Pnoise.source array;
-  domains : int;
   policy : Retry.policy;
   budget : Budget.t option;
   cache : (Cache.t * string) option;
@@ -13,7 +12,7 @@ let timed f =
   let y = f () in
   (y, Unix.gettimeofday () -. t0)
 
-let prepare ?(steps = 200) ?(f_offset = 1.0) ?warmup_periods ?(domains = 1)
+let prepare ?(steps = 200) ?(f_offset = 1.0) ?warmup_periods
     ?(policy = Retry.default) ?budget ?cache circuit ~period =
   Obs.span "analysis.prepare" @@ fun () ->
   (* the converged shooting state is the expensive part of a PSS solve:
@@ -39,9 +38,9 @@ let prepare ?(steps = 200) ?(f_offset = 1.0) ?warmup_periods ?(domains = 1)
    | Some (c, prefix), None ->
      Cache.put_floats c (state_key prefix) (Array.copy pss.Pss.states.(0))
    | _ -> ());
-  let lptv = Lptv.build ~domains ~policy ?budget pss ~f_offset in
+  let lptv = Lptv.build ~policy ?budget pss ~f_offset in
   let sources = Pnoise.mismatch_sources lptv in
-  { pss; lptv; sources; domains; policy; budget; cache }
+  { pss; lptv; sources; policy; budget; cache }
 
 (* PNOISE sidebands flatten losslessly to a float array (every float
    round-trips through the cache's hex codec bit-exactly):
@@ -107,9 +106,8 @@ let dc_variation ctx ~output =
     timed (fun () ->
         let sb =
           cached_sideband ctx ~tag:"h0" ~output (fun () ->
-              Pnoise.analyze ~domains:ctx.domains ~policy:ctx.policy
-                ?budget:ctx.budget ctx.lptv ~output ~harmonic:0
-                ~sources:ctx.sources)
+              Pnoise.analyze ~policy:ctx.policy ?budget:ctx.budget ctx.lptv
+                ~output ~harmonic:0 ~sources:ctx.sources)
         in
         let samples = Pss.node_samples ctx.pss output in
         let nominal = Stats.mean samples in
@@ -180,8 +178,8 @@ let delay_variation ctx ~output ~crossing =
   let sb, runtime =
     timed (fun () ->
         cached_sideband ctx ~tag:(Printf.sprintf "k%d" k_c) ~output (fun () ->
-            Pnoise.analyze_sample ~domains:ctx.domains ~policy:ctx.policy
-              ?budget:ctx.budget ctx.lptv ~output ~k:k_c ~sources:ctx.sources))
+            Pnoise.analyze_sample ~policy:ctx.policy ?budget:ctx.budget
+              ctx.lptv ~output ~k:k_c ~sources:ctx.sources))
   in
   (* a voltage perturbation Δv at the crossing shifts the edge by
      -Δv/slope *)
@@ -195,8 +193,8 @@ let delay_variation_psd ctx ~output =
   Obs.span "analysis.delay_variation_psd" @@ fun () ->
   let sb =
     cached_sideband ctx ~tag:"h1" ~output (fun () ->
-        Pnoise.analyze ~domains:ctx.domains ~policy:ctx.policy
-          ?budget:ctx.budget ctx.lptv ~output ~harmonic:1 ~sources:ctx.sources)
+        Pnoise.analyze ~policy:ctx.policy ?budget:ctx.budget ctx.lptv ~output
+          ~harmonic:1 ~sources:ctx.sources)
   in
   let amplitude = Pss.amplitude ctx.pss output in
   let f0 = 1.0 /. ctx.pss.Pss.period in
@@ -208,15 +206,13 @@ let delay_variation_psd ctx ~output =
    sideband's complex Fourier-coefficient perturbation has magnitude
    |y₁| = A_c·Δf/(4·f_m).  Inverting: σ_f = 4·f_m·√P₁/A_c with
    P₁ = Σ|y₁,i|²σ_i². *)
-let frequency_variation_psd ?(f_offset = 1.0) ?(domains = 1) ?policy ?budget
+let frequency_variation_psd ?(f_offset = 1.0) ?policy ?budget
     (osc : Pss_osc.t) ~output =
   Obs.span "analysis.frequency_variation_psd" @@ fun () ->
   let pss = osc.Pss_osc.pss in
-  let lptv = Lptv.build ~domains ?policy ?budget pss ~f_offset in
+  let lptv = Lptv.build ?policy ?budget pss ~f_offset in
   let sources = Pnoise.mismatch_sources lptv in
-  let sb =
-    Pnoise.analyze ~domains ?policy ?budget lptv ~output ~harmonic:1 ~sources
-  in
+  let sb = Pnoise.analyze ?policy ?budget lptv ~output ~harmonic:1 ~sources in
   let amplitude = Pss.amplitude pss output in
   4.0 *. f_offset *. sqrt (Float.max 0.0 sb.Pnoise.total_psd) /. amplitude
 

@@ -10,7 +10,6 @@ type pss_context = {
   pss : Pss.t;
   lptv : Lptv.t;
   sources : Pnoise.source array;
-  domains : int; (** lane count used by the LPTV/PNOISE passes *)
   policy : Retry.policy; (** fallback policy the readings run under *)
   budget : Budget.t option; (** budget shared by all phases of the run *)
   cache : (Cache.t * string) option;
@@ -18,13 +17,12 @@ type pss_context = {
 }
 
 val prepare : ?steps:int -> ?f_offset:float -> ?warmup_periods:int ->
-  ?domains:int -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  ?policy:Retry.policy -> ?budget:Budget.t ->
   ?cache:Cache.t * string -> Circuit.t -> period:float -> pss_context
 (** Solve the driven PSS and build the LPTV context with the mismatch
-    pseudo-noise sources (offset frequency default 1 Hz).  [domains]
-    (default 1) parallelizes the LPTV build and the subsequent PNOISE
-    readings over that many OCaml domains; results are bit-identical
-    for any value (docs/parallelism.md).  The linear solver of both the
+    pseudo-noise sources (offset frequency default 1 Hz).  The LPTV
+    build and the PNOISE readings made with the context run on the
+    calling domain (docs/parallelism.md).  The linear solver of both the
     PSS and the LPTV layer follows the circuit size
     ({!Linsys.solver_for}, docs/solver.md).  [policy] and
     [budget] thread through every phase — PSS, LPTV build, and the
@@ -77,8 +75,8 @@ val crossing_time : pss_context -> output:string -> crossing:crossing -> float
     for Monte-Carlo comparisons). *)
 
 val frequency_variation_psd :
-  ?f_offset:float -> ?domains:int -> ?policy:Retry.policy ->
-  ?budget:Budget.t -> Pss_osc.t -> output:string -> float
+  ?f_offset:float -> ?policy:Retry.policy -> ?budget:Budget.t -> Pss_osc.t ->
+  output:string -> float
 (** The paper's literal eq. (9): read σ_f from the oscillator's
     passband pseudo-noise PSD at [f_offset] from the carrier.
 

@@ -37,7 +37,7 @@ type t = {
    of a step apply (the (C/h)·p product, or the transposed solve's
    result), [ct2] is the transposed-solve scratch (and solve_source's
    homogeneous part), [ct3] the sparse forward-solve scratch.  One
-   workspace per lane — sharing one across domains is a data race. *)
+   workspace per solve — sharing one across domains is a data race. *)
 type ws = {
   ct1 : Cvec.t;
   ct2 : Cvec.t;
@@ -103,8 +103,21 @@ let phi_column ws ~solvers ~cmul ~m (v : Cvec.t) (phi : Cmat.t) j =
     phi.im.((i * n) + j) <- v.im.(i)
   done
 
-let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
-    (pss : Pss.t) ~f_offset =
+(* Φ(ω) formed densely, column by column: the dense wrap of [build]
+   and the krylov path's stagnation rung both factorize I - Φ of this
+   one loop, so the two are bit-identical by construction *)
+let phi_matrix ?budget ~solvers ~cmul ~n ~m () =
+  Obs.count "lptv.phi.dense" 1;
+  let ws = make_ws n in
+  let v = Cvec.create n in
+  let phi = Cmat.create n n in
+  for j = 0 to n - 1 do
+    Budget.check_opt budget;
+    phi_column ws ~solvers ~cmul ~m v phi j
+  done;
+  phi
+
+let build ?solver ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
   Obs.span "lptv.build" @@ fun () ->
   let circuit = pss.Pss.circuit in
   let n = Circuit.size circuit in
@@ -114,45 +127,39 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
   let h = pss.Pss.period /. float_of_int m in
   let omega = 2.0 *. Float.pi *. f_offset in
   let solver = Option.value solver ~default:(Linsys.solver_for n) in
-  Domain_pool.with_pool domains @@ fun pool ->
+  (* the m step factorizations, one loop over one set of stamp
+     buffers; a transient exception (an injected "lptv.factor" fault)
+     re-runs the deterministic loop bit-identically *)
+  let factor_steps factor =
+    Retry.with_transients ~policy ~label:"lptv" (fun () ->
+        Array.init m (fun i ->
+            Budget.check_opt budget;
+            Faultsim.check_exn "lptv.factor";
+            factor (i + 1)))
+  in
   let cmul, solvers =
     Obs.span "lptv.factor_steps" @@ fun () ->
     match solver with
     | Linsys.Dense ->
       let c_mat = Linsys.rmat_dense pss.Pss.c_mat in
       let c_over_h = Mat.scale (1.0 /. h) c_mat in
-      (* factorize M_k = C(1/h + jω) + G(t_k) for k = 1..m — the m
-         factorizations are independent; each lane stamps into its own
-         g/jac workspace (a shared stamp buffer would be a data race) *)
-      let clus = Array.make m None in
-      (* a lane exception (incl. an injected "lptv.factor" fault) drains
-         the pool and re-raises here; the phase is a deterministic
-         write-per-slot loop, so a bounded re-run recovers bit-identically *)
-      Retry.with_transients ~policy ~label:"lptv" (fun () ->
-          Domain_pool.parallel_for_ws pool m ~label:"lptv.factor_steps"
-            ~chunk:(Domain_pool.chunk_hint pool m)
-            ?should_stop:(Budget.stop_opt budget)
-            ~init:(fun () -> (Vec.create n, Mat.create n n))
-            (fun (g_buf, jac) i ->
-              Faultsim.check_exn "lptv.factor";
-              let k = i + 1 in
-              Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
-                ~x:pss.Pss.states.(k) ~g:g_buf
-                ~jac:(Some (Stamp.dense_sink jac))
-                ();
-              let mk = Cmat.create n n in
-              for r = 0 to n - 1 do
-                for c = 0 to n - 1 do
-                  mk.re.((r * n) + c) <-
-                    Mat.get jac r c +. Mat.get c_over_h r c;
-                  mk.im.((r * n) + c) <- omega *. Mat.get c_mat r c
-                done
-              done;
-              Obs.count "lptv.fact.dense" 1;
-              clus.(i) <- Some (Clu.factorize mk)));
-      Budget.check_opt budget;
+      let g_buf = Vec.create n and jac = Mat.create n n in
+      (* M_k = C(1/h + jω) + G(t_k) *)
       let clus =
-        Array.map (function Some c -> c | None -> assert false) clus
+        factor_steps (fun k ->
+            Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
+              ~x:pss.Pss.states.(k) ~g:g_buf
+              ~jac:(Some (Stamp.dense_sink jac))
+              ();
+            let mk = Cmat.create n n in
+            for r = 0 to n - 1 do
+              for c = 0 to n - 1 do
+                mk.re.((r * n) + c) <- Mat.get jac r c +. Mat.get c_over_h r c;
+                mk.im.((r * n) + c) <- omega *. Mat.get c_mat r c
+              done
+            done;
+            Obs.count "lptv.fact.dense" 1;
+            Clu.factorize mk)
       in
       (Cm_dense c_over_h, Sdense clus)
     | Linsys.Sparse | Linsys.Krylov ->
@@ -163,43 +170,28 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
       Stamp.stamp_c circuit ~add:(fun i j v ->
           let p = Csr.index pat i j in
           c_vals.(p) <- c_vals.(p) +. v);
-      let zvals_at gcsr (zvals : Cvec.t) =
+      let g_buf = Vec.create n in
+      let gcsr = Csr.copy pat in
+      let zvals = Cvec.create nnz in
+      (* stamp M_k's values into [zvals] *)
+      let stamp_at k =
+        Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
+          ~x:pss.Pss.states.(k) ~g:g_buf ~jac:(Some (Stamp.csr_sink gcsr)) ();
         let gv = gcsr.Csr.v in
         for p = 0 to nnz - 1 do
           zvals.re.(p) <- gv.(p) +. (c_vals.(p) /. h);
           zvals.im.(p) <- omega *. c_vals.(p)
         done
       in
-      let stamp_into g_buf gcsr k =
-        Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
-          ~x:pss.Pss.states.(k) ~g:g_buf ~jac:(Some (Stamp.csr_sink gcsr)) ()
+      (* one symbolic plan on the k = 1 values, replayed for every step *)
+      stamp_at 1;
+      let plan = Linsys.csplu_plan ~counter:"lptv.csplu.plans" pat zvals in
+      let fs =
+        factor_steps (fun k ->
+            stamp_at k;
+            Obs.count "lptv.fact.sparse" 1;
+            Csplu.factorize plan pat zvals)
       in
-      (* one symbolic plan, built serially on the k = 1 values, shared
-         read-only by every lane *)
-      let plan =
-        let g_buf = Vec.create n in
-        let gcsr = Csr.copy pat in
-        let zvals = Cvec.create nnz in
-        stamp_into g_buf gcsr 1;
-        zvals_at gcsr zvals;
-        Linsys.csplu_plan ~counter:"lptv.csplu.plans" pat zvals
-      in
-      let fs = Array.make m None in
-      Retry.with_transients ~policy ~label:"lptv" (fun () ->
-          Domain_pool.parallel_for_ws pool m ~label:"lptv.factor_steps"
-            ~chunk:(Domain_pool.chunk_hint pool m)
-            ?should_stop:(Budget.stop_opt budget)
-            ~init:(fun () ->
-              (Vec.create n, Csr.copy pat, Cvec.create nnz))
-            (fun (g_buf, gcsr, zvals) i ->
-              Faultsim.check_exn "lptv.factor";
-              let k = i + 1 in
-              stamp_into g_buf gcsr k;
-              zvals_at gcsr zvals;
-              Obs.count "lptv.fact.sparse" 1;
-              fs.(i) <- Some (Csplu.factorize plan pat zvals)));
-      Budget.check_opt budget;
-      let fs = Array.map (function Some f -> f | None -> assert false) fs in
       (Cm_sparse (Csr.scale (1.0 /. h) (Linsys.rmat_csr pss.Pss.c_mat)),
        Ssparse fs)
   in
@@ -211,17 +203,11 @@ let build ?(domains = 1) ?solver ?(policy = Retry.default) ?budget
       wrap = Wkrylov { dense = None; lock = Mutex.create () } }
   end
   else begin
-    (* Φ(ω) column by column (independent), then factorize I - Φ *)
-    let phi = Cmat.create n n in
-    Obs.count "lptv.phi.dense" 1;
-    Obs.span "lptv.phi" (fun () ->
-        Retry.with_transients ~policy ~label:"lptv" (fun () ->
-            Domain_pool.parallel_for_ws pool n ~label:"lptv.phi"
-              ~chunk:(Domain_pool.chunk_hint pool n)
-              ?should_stop:(Budget.stop_opt budget)
-              ~init:(fun () -> (make_ws n, Cvec.create n))
-              (fun (ws, v) j -> phi_column ws ~solvers ~cmul ~m v phi j)));
-    Budget.check_opt budget;
+    let phi =
+      Obs.span "lptv.phi" (fun () ->
+          Retry.with_transients ~policy ~label:"lptv" (fun () ->
+              phi_matrix ?budget ~solvers ~cmul ~n ~m ()))
+    in
     Obs.span "lptv.wrap" @@ fun () ->
     let wrap = Cmat.sub (Cmat.identity n) phi in
     { pss; f_offset; omega; n; m; h; cmul; solvers;
@@ -252,18 +238,9 @@ let wrap_tapply t ws src dst =
   done;
   sub_from src dst
 
-(* Stagnation rung: form I - Φ(ω) densely after all.  The serial column
-   loop runs the exact per-column operation sequence of the pool phase
-   in [build], so the factored matrix is bit-identical to what a dense
-   build would have produced. *)
+(* Stagnation rung: form I - Φ(ω) densely after all *)
 let dense_wrap t =
-  Obs.count "lptv.phi.dense" 1;
-  let ws = make_ws t.n in
-  let v = Cvec.create t.n in
-  let phi = Cmat.create t.n t.n in
-  for j = 0 to t.n - 1 do
-    phi_column ws ~solvers:t.solvers ~cmul:t.cmul ~m:t.m v phi j
-  done;
+  let phi = phi_matrix ~solvers:t.solvers ~cmul:t.cmul ~n:t.n ~m:t.m () in
   Clu.factorize (Cmat.sub (Cmat.identity t.n) phi)
 
 let wrap_fallback_lu t =

@@ -24,33 +24,32 @@
 
 type t
 
-val build : ?domains:int -> ?solver:Linsys.solver -> ?policy:Retry.policy ->
+val build : ?solver:Linsys.solver -> ?policy:Retry.policy ->
   ?budget:Budget.t -> Pss.t -> f_offset:float -> t
 (** Linearize around the PSS and factorize all [M_k] plus the periodic
     wrap matrix [I - Φ(ω)].  [f_offset] is the input offset frequency
-    (1 Hz for the pseudo-noise mismatch reading).
-
-    [domains] (default 1) runs the per-step factorizations and the
-    monodromy columns on a {!Domain_pool} of that many lanes.  Results
-    are bit-identical for any [domains] — see docs/parallelism.md.
+    (1 Hz for the pseudo-noise mismatch reading).  The build runs as
+    plain loops on the calling domain (docs/parallelism.md).
 
     [solver] (default {!Linsys.solver_for} the circuit size) selects
     dense [Clu] step solvers ([Dense]) or sparse [Csplu] ones ([Sparse],
-    [Krylov]: one shared symbolic plan, per-lane numeric workspaces),
-    and the wrap treatment.  On the matrix-free [Krylov] path, [build]
-    never forms [Φ(ω)]: it stops after the step factorizations —
-    O(m·nnz) — and the wrap solves in {!solve_source}/the adjoints run
-    restarted {!Gmres} where each product [(I - Φ(ω))·v] is one
-    variational sweep through the step solvers.  GMRES stagnation (or an injected ["lptv.gmres"]
-    fault) falls back to the dense factorization, built once and
-    bit-identical to the dense path's — counted as
-    ["ladder.lptv.gmres_fallback"] and {!Linsys.krylov_fallback_count}.
+    [Krylov]: one symbolic plan replayed for every step), and the wrap
+    treatment.  On the matrix-free [Krylov] path, [build] never forms
+    [Φ(ω)]: it stops after the step factorizations — O(m·nnz) — and the
+    wrap solves in {!solve_source}/the adjoints run restarted {!Gmres}
+    where each product [(I - Φ(ω))·v] is one variational sweep through
+    the step solvers.  GMRES stagnation (or an injected ["lptv.gmres"]
+    fault) falls back to the dense factorization, built once by the
+    same column loop as the dense path's and so bit-identical to it —
+    counted as ["ladder.lptv.gmres_fallback"] and
+    {!Linsys.krylov_fallback_count}.
 
-    [budget] expiry stops every lane from claiming further work and the
-    build raises {!Budget.Timed_out} at the next phase boundary.  A pool
-    phase killed by a transient lane exception (the ["lptv.factor"]
-    fault site) is deterministically re-run up to [policy.max_retries]
-    times (["ladder.lptv.retry"]). *)
+    [budget] is checked before every step factorization and every Φ
+    column; expiry raises {!Budget.Timed_out}.  A factorization loop
+    killed by a transient exception (the ["lptv.factor"] fault site) is
+    deterministically re-run up to [policy.max_retries] times
+    (["ladder.lptv.retry"]).  A built [t] is read-only and may be
+    solved from several domains at once. *)
 
 val pss : t -> Pss.t
 val steps : t -> int

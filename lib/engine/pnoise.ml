@@ -83,111 +83,80 @@ let physical_sources ?temp lptv =
       { src_name = ns.Stamp.ns_name; src_inject = inject; src_psd = 1.0 })
     per_step.(1)
 
-let finish ?(domains = 1) ?(policy = Retry.default) ?budget ~output ~harmonic
-    ~f_offset ~lam ~sources () =
+(* [f i] for every index in order, with a budget check before each; a
+   transient exception (an injected ["pnoise.transfer"] fault) re-runs
+   the deterministic loop bit-identically *)
+let per_index ~policy ?budget n f =
+  Retry.with_transients ~policy ~label:"pnoise" (fun () ->
+      Array.init n (fun i ->
+          Budget.check_opt budget;
+          Faultsim.check_exn "pnoise.transfer";
+          f i))
+
+let finish ?(policy = Retry.default) ?budget ~output ~harmonic ~f_offset ~lam
+    ~sources () =
   Obs.count "pnoise.transfers" (Array.length sources);
-  (* per-index slots so budget expiry can abandon the tail; a transient
-     lane fault (the ["pnoise.transfer"] site) re-runs the whole
-     deterministic fan-out bit-identically *)
-  let slots = Array.make (Array.length sources) None in
-  Domain_pool.with_pool domains (fun pool ->
-      Retry.with_transients ~policy ~label:"pnoise" (fun () ->
-          Domain_pool.parallel_for pool (Array.length sources)
-            ~chunk:(Domain_pool.chunk_hint pool (Array.length sources))
-            ~label:"pnoise.transfer" ?should_stop:(Budget.stop_opt budget)
-            (fun i ->
-              Faultsim.check_exn "pnoise.transfer";
-              let src = sources.(i) in
-              let tf = Lptv.apply lam src.src_inject in
-              slots.(i) <-
-                Some
-                  { source = src; transfer = tf;
-                    share = Cx.abs2 tf *. src.src_psd })));
-  Budget.check_opt budget;
   let contributions =
-    Array.map (function Some c -> c | None -> assert false) slots
+    per_index ~policy ?budget (Array.length sources) (fun i ->
+        let src = sources.(i) in
+        let tf = Lptv.apply lam src.src_inject in
+        { source = src; transfer = tf; share = Cx.abs2 tf *. src.src_psd })
   in
   let total = Array.fold_left (fun acc c -> acc +. c.share) 0.0 contributions in
   { output; harmonic; f_offset; total_psd = total; contributions }
 
-let analyze ?domains ?policy ?budget lptv ~output ~harmonic ~sources =
+let analyze ?policy ?budget lptv ~output ~harmonic ~sources =
   Obs.span "pnoise.analyze" @@ fun () ->
   let pss = Lptv.pss lptv in
   let row = Circuit.node_row pss.Pss.circuit output in
   let lam = Lptv.adjoint_harmonic lptv ~row ~harmonic in
-  finish ?domains ?policy ?budget ~output ~harmonic
-    ~f_offset:(Lptv.f_offset lptv) ~lam ~sources ()
+  finish ?policy ?budget ~output ~harmonic ~f_offset:(Lptv.f_offset lptv)
+    ~lam ~sources ()
 
-let analyze_sample ?domains ?policy ?budget lptv ~output ~k ~sources =
+let analyze_sample ?policy ?budget lptv ~output ~k ~sources =
   Obs.span "pnoise.analyze" @@ fun () ->
   let pss = Lptv.pss lptv in
   let row = Circuit.node_row pss.Pss.circuit output in
   let lam = Lptv.adjoint_sample lptv ~row ~k in
-  finish ?domains ?policy ?budget ~output ~harmonic:0
-    ~f_offset:(Lptv.f_offset lptv) ~lam ~sources ()
+  finish ?policy ?budget ~output ~harmonic:0 ~f_offset:(Lptv.f_offset lptv)
+    ~lam ~sources ()
 
 (* Forward reading: one direct solve per source, O(sources) periodic
-   BVP solves. *)
-let sigma_waveform_forward ~domains ~policy ?budget lptv ~row ~sources =
+   BVP solves; each source's term joins the running sum in source
+   order. *)
+let sigma_waveform_forward ~policy ?budget lptv ~row ~sources =
   let m = Lptv.steps lptv in
-  (* each lane writes only its own per-source row, then the rows are
-     reduced in source order so the result is independent of the lane
-     count *)
-  let slots = Array.make (Array.length sources) None in
-  Domain_pool.with_pool domains (fun pool ->
-      Retry.with_transients ~policy ~label:"pnoise" (fun () ->
-          Domain_pool.parallel_for pool (Array.length sources)
-            ~chunk:(Domain_pool.chunk_hint pool (Array.length sources))
-            ~label:"pnoise.solve_source" ?should_stop:(Budget.stop_opt budget)
-            (fun i ->
-              Faultsim.check_exn "pnoise.transfer";
-              let src = sources.(i) in
-              let p = Lptv.solve_source lptv src.src_inject in
-              slots.(i) <-
-                Some
-                  (Array.init m (fun j ->
-                       let re = p.(j + 1).re.(row) and im = p.(j + 1).im.(row) in
-                       ((re *. re) +. (im *. im)) *. src.src_psd)))));
-  Budget.check_opt budget;
-  let rows = Array.map (function Some r -> r | None -> assert false) slots in
   let acc = Array.make m 0.0 in
-  Array.iter
-    (fun r ->
-      for j = 0 to m - 1 do
-        acc.(j) <- acc.(j) +. r.(j)
-      done)
-    rows;
+  Retry.with_transients ~policy ~label:"pnoise" (fun () ->
+      Array.fill acc 0 m 0.0;
+      Array.iter
+        (fun src ->
+          Budget.check_opt budget;
+          Faultsim.check_exn "pnoise.transfer";
+          let p = Lptv.solve_source lptv src.src_inject in
+          for j = 0 to m - 1 do
+            let re = p.(j + 1).re.(row) and im = p.(j + 1).im.(row) in
+            acc.(j) <- acc.(j) +. (((re *. re) +. (im *. im)) *. src.src_psd)
+          done)
+        sources);
   Array.map sqrt acc
 
 (* Adjoint reading: one sample functional per grid point, O(steps)
    solves regardless of the source count — the paper's §I economics
    applied to the statistical waveform (Fig. 8). *)
-let sigma_waveform_adjoint ~domains ~policy ?budget lptv ~row ~sources =
-  let m = Lptv.steps lptv in
-  let slots = Array.make m None in
-  Domain_pool.with_pool domains (fun pool ->
-      Retry.with_transients ~policy ~label:"pnoise" (fun () ->
-          Domain_pool.parallel_for pool m
-            ~chunk:(Domain_pool.chunk_hint pool m)
-            ~label:"pnoise.adjoint_sample"
-            ?should_stop:(Budget.stop_opt budget)
-            (fun j ->
-              Faultsim.check_exn "pnoise.transfer";
-              let lam = Lptv.adjoint_sample lptv ~row ~k:(j + 1) in
-              let s = ref 0.0 in
-              Array.iter
-                (fun src ->
-                  let tf = Lptv.apply lam src.src_inject in
-                  s := !s +. (Cx.abs2 tf *. src.src_psd))
-                sources;
-              slots.(j) <- Some !s)));
-  Budget.check_opt budget;
-  Array.map
-    (function Some s -> sqrt s | None -> assert false)
-    slots
+let sigma_waveform_adjoint ~policy ?budget lptv ~row ~sources =
+  per_index ~policy ?budget (Lptv.steps lptv) (fun j ->
+      let lam = Lptv.adjoint_sample lptv ~row ~k:(j + 1) in
+      let s = ref 0.0 in
+      Array.iter
+        (fun src ->
+          let tf = Lptv.apply lam src.src_inject in
+          s := !s +. (Cx.abs2 tf *. src.src_psd))
+        sources;
+      sqrt !s)
 
-let sigma_waveform ?(domains = 1) ?(policy = Retry.default) ?budget
-    ?(via = `Auto) lptv ~output ~sources =
+let sigma_waveform ?(policy = Retry.default) ?budget ?(via = `Auto) lptv
+    ~output ~sources =
   Obs.span "pnoise.sigma_waveform" @@ fun () ->
   let pss = Lptv.pss lptv in
   let row = Circuit.node_row pss.Pss.circuit output in
@@ -202,11 +171,11 @@ let sigma_waveform ?(domains = 1) ?(policy = Retry.default) ?budget
   in
   if adjoint then begin
     Obs.count "pnoise.sigma_waveform.adjoint" 1;
-    sigma_waveform_adjoint ~domains ~policy ?budget lptv ~row ~sources
+    sigma_waveform_adjoint ~policy ?budget lptv ~row ~sources
   end
   else begin
     Obs.count "pnoise.sigma_waveform.forward" 1;
-    sigma_waveform_forward ~domains ~policy ?budget lptv ~row ~sources
+    sigma_waveform_forward ~policy ?budget lptv ~row ~sources
   end
 
 let pp_sideband ppf sb =

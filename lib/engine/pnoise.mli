@@ -39,17 +39,16 @@ val physical_sources : ?temp:float -> Lptv.t -> source array
 (** Thermal device noise, periodically modulated by the PSS bias. *)
 
 val analyze :
-  ?domains:int -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  ?policy:Retry.policy -> ?budget:Budget.t ->
   Lptv.t -> output:string -> harmonic:int -> sources:source array -> sideband
 (** Adjoint analysis of one output sideband (single backward pass, then
-    one inner product per source).  [domains] (default 1) fans the
-    per-source inner products out over a {!Domain_pool}; results are
-    bit-identical for any lane count.  [budget] expiry stops the lanes
-    and raises {!Budget.Timed_out}; [policy] bounds the re-runs of a
-    fan-out killed by a transient ["pnoise.transfer"] fault. *)
+    one inner product per source, in source order on the calling
+    domain).  [budget] is checked before every source; expiry raises
+    {!Budget.Timed_out}.  [policy] bounds the re-runs of the source
+    loop killed by a transient ["pnoise.transfer"] fault. *)
 
 val analyze_sample :
-  ?domains:int -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  ?policy:Retry.policy -> ?budget:Budget.t ->
   Lptv.t -> output:string -> k:int -> sources:source array -> sideband
 (** Time-domain variant: the functional is the response at grid point
     [k]; [total_psd] is then the variance density of the output voltage
@@ -57,11 +56,10 @@ val analyze_sample :
     delay extraction). *)
 
 val sigma_waveform :
-  ?domains:int -> ?policy:Retry.policy -> ?budget:Budget.t ->
+  ?policy:Retry.policy -> ?budget:Budget.t ->
   ?via:[ `Auto | `Forward | `Adjoint ] ->
   Lptv.t -> output:string -> sources:source array -> float array
-(** σ(t_k), k = 1..steps: the ±σ envelope of Fig. 8, fanned out over
-    [domains] lanes (default 1).
+(** σ(t_k), k = 1..steps: the ±σ envelope of Fig. 8.
 
     [via] picks the reading: [`Forward] is one direct {!Lptv.solve_source}
     per source (O(sources) periodic solves); [`Adjoint] is one
@@ -69,6 +67,7 @@ val sigma_waveform :
     independent of the source count — how a ≥500-parameter deck stays
     affordable).  [`Auto] (default) takes whichever count is smaller.
     The two readings agree to solver tolerance (see the parity test);
-    counted as ["pnoise.sigma_waveform.forward"/".adjoint"]. *)
+    counted as ["pnoise.sigma_waveform.forward"/".adjoint"].  [budget]
+    is checked before every source or grid point. *)
 
 val pp_sideband : Format.formatter -> sideband -> unit

@@ -4,8 +4,9 @@
     ladder (docs/robustness.md):
 
     - [max_retries] bounds how often a failed stage is re-attempted —
-      a Newton eval/factorize that came back non-finite or singular, a
-      pool job killed by a lane exception, a PSS sweep that stalls.
+      a Newton eval/factorize that came back non-finite or singular, an
+      LPTV/PNOISE loop killed by a transient exception, a PSS sweep
+      that stalls.
       Re-attempts are deterministic re-runs, so a {e transient} fault
       (the kind {!Faultsim} injects) recovers bit-identically, while a
       persistent failure escalates after the bound.
@@ -54,5 +55,5 @@ val rung : string -> unit
 val with_transients : ?policy:policy -> label:string -> (unit -> 'a) -> 'a
 (** Run [f], re-running it on a {!Faultsim.Injected} exception up to
     [policy.max_retries] times (counting [ladder.<label>.retry] per
-    re-run) — the recovery wrapper for pool jobs whose lane bodies are
-    deterministic.  Other exceptions pass through. *)
+    re-run) — the recovery wrapper for the LPTV/PNOISE loops, whose
+    bodies are deterministic.  Other exceptions pass through. *)

@@ -2,9 +2,10 @@
 
    One pool owns [lanes - 1] worker domains parked on a condition
    variable.  A job is an index range [0, n) plus a body; every lane
-   (workers and the publishing caller alike) claims chunks of indices
-   from a shared atomic counter until the range is drained, so uneven
-   per-index cost balances automatically without per-task spawns.
+   (workers and the publishing caller alike) claims indices one at a
+   time from a shared atomic counter until the range is drained, so
+   uneven per-index cost balances automatically without per-task
+   spawns.
 
    Each job carries its own atomic counter: a worker that wakes up late
    and still holds a reference to a finished job drains that job's
@@ -12,16 +13,13 @@
    a job published afterwards. *)
 
 type job = {
-  mk_body : unit -> int -> unit;
-      (* called once per participating lane to build its body — this is
-         where per-lane workspaces are allocated *)
+  body : int -> unit;
   next : int Atomic.t;
   hi : int;
-  chunk : int;
   label : string; (* telemetry name for the per-lane trace slices *)
   should_stop : unit -> bool;
       (* cooperative cancellation (e.g. a budget deadline): polled
-         before each chunk claim on every lane; remaining indices are
+         before each claim on every lane; remaining indices are
          abandoned once it turns true *)
 }
 
@@ -43,8 +41,7 @@ let record_failure t e =
   (match t.failure with None -> t.failure <- Some e | Some _ -> ());
   Mutex.unlock t.mutex
 
-(* Claim and run chunks until the job is drained.  The lane body is only
-   built once the lane has actually claimed work.  On an exception the
+(* Claim and run indices until the job is drained.  On an exception the
    lane stops claiming (the failure is re-raised by the publisher);
    other lanes drain the remaining indices.
 
@@ -53,30 +50,17 @@ let record_failure t e =
    slice per job on its own track plus its claimed-index count, which
    is how lane imbalance becomes visible (docs/observability.md). *)
 let drain t ~lane (job : job) =
-  let body = ref None in
   let live = ref true in
   let items = ref 0 in
   let t0 = if Obs.enabled () then Obs.now () else 0.0 in
   while !live do
     if job.should_stop () then live := false
     else
-    let i = Atomic.fetch_and_add job.next job.chunk in
+    let i = Atomic.fetch_and_add job.next 1 in
     if i >= job.hi then live := false
     else begin
-      let b =
-        match !body with
-        | Some b -> b
-        | None ->
-          let b = job.mk_body () in
-          body := Some b;
-          b
-      in
-      let hi = Stdlib.min job.hi (i + job.chunk) in
-      items := !items + (hi - i);
-      try
-        for j = i to hi - 1 do
-          b j
-        done
+      incr items;
+      try job.body i
       with e ->
         record_failure t e;
         live := false
@@ -132,17 +116,11 @@ let create lanes =
     List.init (lanes - 1) (fun i ->
         Domain.spawn (fun () -> worker t ~lane:(i + 1)));
   (* every lane gets a trace track up front; a run too small for a
-     worker to claim a chunk still shows the idle lane *)
+     worker to claim an index still shows the idle lane *)
   Obs.announce_lanes lanes;
   t
 
 let size t = t.lanes
-
-(* Claim-sized batches: ~4 claims per lane balances imbalance against
-   contention on the shared chunk counter.  chunk=1 on a fine-grained
-   range (hundreds of cheap iterations) spends more time claiming than
-   working once lanes > 1. *)
-let chunk_hint t n = Stdlib.max 1 (n / (t.lanes * 4))
 
 let shutdown t =
   Mutex.lock t.mutex;
@@ -158,16 +136,13 @@ let with_pool lanes f =
 
 let no_stop () = false
 
-let parallel_for_ws t ?(chunk = 1) ?(label = "pool.job") ?(should_stop = no_stop)
-    n ~init body =
-  if chunk < 1 then invalid_arg "Domain_pool.parallel_for_ws: chunk < 1";
+let parallel_for t ?(label = "pool.job") ?(should_stop = no_stop) n body =
   if n > 0 then begin
     if n = 1 || t.workers = [] then begin
       let t0 = if Obs.enabled () then Obs.now () else 0.0 in
-      let ws = init () in
       let i = ref 0 in
       while !i < n && not (should_stop ()) do
-        body ws !i;
+        body !i;
         incr i
       done;
       if Obs.enabled () then begin
@@ -176,19 +151,7 @@ let parallel_for_ws t ?(chunk = 1) ?(label = "pool.job") ?(should_stop = no_stop
       end
     end
     else begin
-      let job =
-        {
-          mk_body =
-            (fun () ->
-              let ws = init () in
-              fun i -> body ws i);
-          next = Atomic.make 0;
-          hi = n;
-          chunk;
-          label;
-          should_stop;
-        }
-      in
+      let job = { body; next = Atomic.make 0; hi = n; label; should_stop } in
       Mutex.lock t.mutex;
       t.failure <- None;
       t.job <- Some job;
@@ -206,18 +169,6 @@ let parallel_for_ws t ?(chunk = 1) ?(label = "pool.job") ?(should_stop = no_stop
       Mutex.unlock t.mutex;
       match failure with None -> () | Some e -> raise e
     end
-  end
-
-let parallel_for t ?chunk ?label ?should_stop n body =
-  parallel_for_ws t ?chunk ?label ?should_stop n ~init:(fun () -> ())
-    (fun () i -> body i)
-
-let parallel_init t ?chunk ?label n f =
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n None in
-    parallel_for t ?chunk ?label n (fun i -> out.(i) <- Some (f i));
-    Array.map (function Some x -> x | None -> assert false) out
   end
 
 let default_lanes () = Domain.recommended_domain_count ()

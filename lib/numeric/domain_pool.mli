@@ -2,9 +2,11 @@
 
     A pool of [lanes] parallel lanes: the calling domain plus
     [lanes - 1] persistent worker domains parked between jobs.  Jobs are
-    index ranges; lanes claim chunks from a shared atomic counter
-    ("work-stealing lite"), so unevenly sized iterations balance without
-    spawning a domain per task.
+    index ranges; lanes claim one index at a time from a shared atomic
+    counter ("work-stealing lite"), so unevenly sized iterations balance
+    without spawning a domain per task.  The pool runs independent units
+    of work — Monte Carlo samples, sweep points — never the steps of one
+    LPTV/PNOISE pass (docs/parallelism.md).
 
     Determinism: the pool only decides {e which lane} runs each index,
     never the arithmetic performed for it.  Bodies that write
@@ -23,13 +25,6 @@ val create : int -> t
 val size : t -> int
 (** Number of lanes, including the caller. *)
 
-val chunk_hint : t -> int -> int
-(** [chunk_hint pool n] is a coarsened [?chunk] for an [n]-index job:
-    about 4 claims per lane (min 1), so lanes get real batches of work
-    instead of contending on the claim counter per index.  Chunking
-    only changes which lane runs an index, never the result — see
-    docs/parallelism.md. *)
-
 val shutdown : t -> unit
 (** Park, join and release the worker domains.  Every pool must be shut
     down before the program exits (prefer {!with_pool}). *)
@@ -39,34 +34,21 @@ val with_pool : int -> (t -> 'a) -> 'a
     down, including on exceptions. *)
 
 val parallel_for :
-  t -> ?chunk:int -> ?label:string -> ?should_stop:(unit -> bool) -> int ->
+  t -> ?label:string -> ?should_stop:(unit -> bool) -> int ->
   (int -> unit) -> unit
 (** [parallel_for pool n body] runs [body i] for [i] in [0, n), spread
-    over the pool's lanes; returns when all indices have completed.
-    [chunk] (default 1) indices are claimed at a time.  If any [body]
-    raises, the first exception is re-raised in the caller after the
-    range drains; remaining indices may or may not have run.  [label]
-    (default ["pool.job"]) names the per-lane telemetry slices this job
-    emits when {!Obs.enabled}; telemetry never changes scheduling or
-    results.
+    over the pool's lanes one index per claim; returns when all indices
+    have completed.  If any [body] raises, the first exception is
+    re-raised in the caller after the range drains; remaining indices
+    may or may not have run.  [label] (default ["pool.job"]) names the
+    per-lane telemetry slices this job emits when {!Obs.enabled};
+    telemetry never changes scheduling or results.
 
-    [should_stop] is polled by every lane before each chunk claim
-    (default constant [false]): once it returns true, remaining indices
-    are abandoned and the call returns normally — the cooperative
+    [should_stop] is polled by every lane before each claim (default
+    constant [false]): once it returns true, remaining indices are
+    abandoned and the call returns normally — the cooperative
     cancellation hook budgets propagate through (the caller is expected
-    to notice the expiry itself and raise its structured timeout). *)
-
-val parallel_for_ws :
-  t -> ?chunk:int -> ?label:string -> ?should_stop:(unit -> bool) -> int ->
-  init:(unit -> 'ws) -> ('ws -> int -> unit) -> unit
-(** Like {!parallel_for}, but each participating lane calls [init] once
-    (lazily, on its first claimed chunk) and threads the result through
-    its iterations — the hook for per-lane scratch workspaces that must
-    not be shared across domains. *)
-
-val parallel_init : t -> ?chunk:int -> ?label:string -> int -> (int -> 'a) -> 'a array
-(** [parallel_init pool n f] is [Array.init n f] with the elements
-    computed in parallel ([f] must tolerate out-of-order evaluation). *)
+    to notice the expiry itself). *)
 
 val default_lanes : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

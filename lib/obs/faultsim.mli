@@ -2,8 +2,8 @@
 
     The engines are sprinkled with named {e sites} — points where a
     production failure could strike: a factorization that comes back
-    singular, a residual evaluation that produces NaN, a pool-lane body
-    that dies, a wall clock that jumps.  When the harness is {e armed}
+    singular, a residual evaluation that produces NaN, a loop body that
+    dies, a wall clock that jumps.  When the harness is {e armed}
     with a schedule, [fire site] reports the fault (if any) due at the
     current visit of that site; when disarmed (the default, and the only
     state production code ever runs in) [fire] is a single atomic load
@@ -20,8 +20,9 @@
     - ["linsys.splu"] — [Singular k] forces the sparse plan+replay to
       fail, exercising the degrade-to-dense path
     - ["tran.step"] — [Exn] aborts one integration step
-    - ["lptv.factor"], ["pnoise.transfer"] — [Exn] kills a pool-lane
-      body mid-job
+    - ["lptv.factor"], ["pnoise.transfer"] — [Exn] kills the LPTV
+      step-factorization loop or the PNOISE source / σ(t) loop before
+      one index
     - ["pss.gmres"], ["lptv.gmres"] — any fault makes that GMRES wrap
       solve report stagnation, exercising the bit-identical
       krylov→dense fallback rung

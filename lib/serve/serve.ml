@@ -18,13 +18,12 @@
    The main thread owns accept+read+parse (a select loop, so a single
    thread multiplexes every connection); lanes own compute+respond
    (per-connection write mutex).  Domain_pool is deliberately not used
-   here — it is not reentrant, and jobs themselves may fan out over
-   domains. *)
+   here — its jobs are fixed index ranges, not an open-ended request
+   queue. *)
 
 type config = {
   socket_path : string;
   lanes : int;
-  job_domains : int;  (* default LPTV/PNOISE lanes per job *)
   cache : Cache.t option;
   default_budget_s : float option;
   log_path : string option;  (* JSON-lines event log, one record/request *)
@@ -39,7 +38,6 @@ type job = {
   steps : int option;
   f_offset : float option;
   budget_s : float option;
-  domains : int option;
   events : bool;  (* stream phase events back while computing *)
 }
 
@@ -261,7 +259,6 @@ let parse_request line =
                steps = Option.map int_of_float (num "steps");
                f_offset = num "f_offset";
                budget_s = num "budget_s";
-               domains = Option.map int_of_float (num "domains");
                events = flag "events";
              }))
     | op -> Error ("unknown op " ^ op))
@@ -363,10 +360,8 @@ let run_job st conn job =
       Option.map (fun s -> Budget.make ~wall_s:s ~label ()) budget_s
     in
     let req =
-      Spice_job.request
-        ~domains:(Option.value job.domains ~default:st.cfg.job_domains)
-        ?steps:job.steps ?f_offset:job.f_offset ?budget ?cache:st.cfg.cache
-        deck
+      Spice_job.request ?steps:job.steps ?f_offset:job.f_offset ?budget
+        ?cache:st.cfg.cache deck
     in
     let out =
       with_progress conn job (fun () ->
@@ -543,9 +538,9 @@ let bind_socket path =
   Unix.listen fd 64;
   fd
 
-let default_config ?(lanes = 2) ?(job_domains = 1) ?cache ?default_budget_s
-    ?log_path ?(trace = false) socket_path =
-  { socket_path; lanes; job_domains; cache; default_budget_s; log_path; trace }
+let default_config ?(lanes = 2) ?cache ?default_budget_s ?log_path
+    ?(trace = false) socket_path =
+  { socket_path; lanes; cache; default_budget_s; log_path; trace }
 
 let run cfg =
   Atomic.set stop_requested false;
@@ -653,8 +648,8 @@ let run cfg =
 (* ------------------------------------------------------------------ *)
 (* client side: varsim submit *)
 
-let request_json ?(id = "") ?steps ?f_offset ?budget_s ?domains
-    ?(events = false) deck_text =
+let request_json ?(id = "") ?steps ?f_offset ?budget_s ?(events = false)
+    deck_text =
   let b = Buffer.create (String.length deck_text + 128) in
   Buffer.add_string b
     (Printf.sprintf "{\"op\":\"run\",\"id\":\"%s\",\"deck\":\"%s\"" (esc id)
@@ -667,9 +662,6 @@ let request_json ?(id = "") ?steps ?f_offset ?budget_s ?domains
    | None -> ());
   (match budget_s with
    | Some s -> Buffer.add_string b (Printf.sprintf ",\"budget_s\":%.17g" s)
-   | None -> ());
-  (match domains with
-   | Some d -> Buffer.add_string b (Printf.sprintf ",\"domains\":%d" d)
    | None -> ());
   if events then Buffer.add_string b ",\"events\":true";
   Buffer.add_char b '}';

@@ -34,7 +34,6 @@
 type config = {
   socket_path : string;
   lanes : int;  (** concurrent job lanes (domains) *)
-  job_domains : int;  (** default LPTV/PNOISE domains per job *)
   cache : Cache.t option;  (** shared result/state cache *)
   default_budget_s : float option;  (** per-request default wall budget *)
   log_path : string option;  (** JSON-lines event log (append) *)
@@ -45,11 +44,10 @@ type config = {
 }
 
 val default_config :
-  ?lanes:int -> ?job_domains:int -> ?cache:Cache.t ->
-  ?default_budget_s:float -> ?log_path:string -> ?trace:bool -> string ->
-  config
-(** [default_config socket_path] — 2 lanes, 1 domain per job, no cache,
-    no default budget, no event log, no trace slices. *)
+  ?lanes:int -> ?cache:Cache.t -> ?default_budget_s:float ->
+  ?log_path:string -> ?trace:bool -> string -> config
+(** [default_config socket_path] — 2 lanes, no cache, no default
+    budget, no event log, no trace slices. *)
 
 val run : config -> unit
 (** Bind, serve, block until a SIGTERM/SIGINT drain completes.  Raises
@@ -61,7 +59,7 @@ val run : config -> unit
 
 val request_json :
   ?id:string -> ?steps:int -> ?f_offset:float -> ?budget_s:float ->
-  ?domains:int -> ?events:bool -> string -> string
+  ?events:bool -> string -> string
 (** [request_json deck_text] builds a one-line run request.  [events]
     asks the server to stream phase events while the job runs. *)
 

@@ -33,7 +33,7 @@ let request ?(domains = 1) ?steps ?f_offset ?(policy = Retry.default) ?budget
     ?cache deck =
   { deck; domains; steps; f_offset; policy; budget; cache }
 
-(* [domains] is excluded: lane count is bit-identical by design
+(* [domains] is excluded: sample lane count is bit-identical by design
    (docs/parallelism.md).  [policy]/[budget] are excluded: they bound
    how long a run may take, not what a completed run prints — a cached
    result is by construction one that completed.  The linear-solver

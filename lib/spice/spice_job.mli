@@ -11,7 +11,7 @@
 
 type request = {
   deck : Spice_elab.t;
-  domains : int;
+  domains : int;  (** sample lanes of the [.mc]/[.yield] cards *)
   steps : int option;  (** PSS grid steps (default 200) *)
   f_offset : float option;  (** pseudo-noise offset (default 1 Hz) *)
   policy : Retry.policy;
@@ -38,8 +38,8 @@ val request :
 
 val fingerprint : request -> string
 (** {!Spice_elab.fingerprint} of the deck plus the result-shaping knobs
-    ([steps], [f_offset]).  [domains] is excluded (lane counts are
-    bit-identical by design); [policy]/[budget] are excluded (they
+    ([steps], [f_offset]).  [domains] is excluded (sample lane counts
+    are bit-identical by design); [policy]/[budget] are excluded (they
     bound how long a run may take, not what a completed run prints).
     The linear solver follows the circuit size, so one deck has one
     fingerprint whichever entry point submits it. *)

@@ -42,10 +42,12 @@ let ctx_prefix circuit ~steps ~f_offset ~period =
       string_of_int steps;
       Printf.sprintf "%.17g" f_offset ]
 
-(* [policy]/[budget] thread into the nonlinear engines (DC, transient,
-   PSS, the mismatch analyses, Monte Carlo).  The LTI small-signal
-   analyses (.ac, .noise, .dcmatch sensitivities) are single direct
-   solves with no iteration to bound and stay untouched. *)
+(* [domains] sizes the sample lanes of the .mc and .yield cards; every
+   other card runs on the calling domain.  [policy]/[budget] thread into
+   the nonlinear engines (DC, transient, PSS, the mismatch analyses,
+   Monte Carlo).  The LTI small-signal analyses (.ac, .noise, .dcmatch
+   sensitivities) are single direct solves with no iteration to bound
+   and stay untouched. *)
 let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?policy ?budget
     ?cache (deck : Spice_elab.t) analysis =
   Obs.span (span_name analysis) @@ fun () ->
@@ -82,13 +84,13 @@ let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?policy ?budget
     R_pss (Pss.solve ~steps ?policy ?budget circuit ~period)
   | Spice_ast.A_mismatch_dc { output; period } ->
     let ctx =
-      Analysis.prepare ~steps ~f_offset ~domains ?policy ?budget
+      Analysis.prepare ~steps ~f_offset ?policy ?budget
         ?cache:(ctx_cache ~period) circuit ~period
     in
     R_report (Analysis.dc_variation ctx ~output)
   | Spice_ast.A_mismatch_delay { output; period; threshold; after; rising } ->
     let ctx =
-      Analysis.prepare ~steps ~f_offset ~domains ?policy ?budget
+      Analysis.prepare ~steps ~f_offset ?policy ?budget
         ?cache:(ctx_cache ~period) circuit ~period
     in
     let crossing =
@@ -108,7 +110,7 @@ let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?policy ?budget
   | Spice_ast.A_monte_carlo { n; seed } ->
     (* generic Monte Carlo over all node voltages at the DC point *)
     R_mc
-      (Monte_carlo.run ~seed ?budget ~n ~circuit
+      (Monte_carlo.run ~seed ~domains ?budget ~n ~circuit
          ~measure:(fun c ->
            let x = Dc.solve ?policy c in
            Array.init (Circuit.num_nodes c) (fun i -> x.(i)))

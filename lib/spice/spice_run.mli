@@ -25,9 +25,11 @@ val execute :
   ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
   Spice_elab.t -> Spice_ast.analysis -> result
 (** Run one analysis card against the deck's circuit, no printing.
-    [domains] parallelizes the LPTV/PNOISE passes (the linear solver
-    follows the circuit size, {!Linsys.solver_for}); [policy] and
-    [budget] thread into
+    [domains] (default 1) sizes the sample lanes of the [.mc] and
+    [.yield] cards; their results are bit-identical for any value, and
+    every other card runs on the calling domain (docs/parallelism.md).
+    The linear solver follows the circuit size ({!Linsys.solver_for}).
+    [policy] and [budget] thread into
     the nonlinear engines (docs/robustness.md) — the LTI analyses
     ([.ac], [.noise], [.dcmatch]) are direct solves and ignore them.
     [cache] warm-starts the mismatch cards' PSS/PNOISE phases from

@@ -12,7 +12,10 @@
    - process and domain isolation give byte-identical artifacts, and
      domain lanes never race each other;
    - an unknown VARSIM_FAULTS site name, or an unknown option, fails
-     fast with exit 2.
+     fast with exit 2;
+   - a .mc card spreads its samples over --domains lanes with output
+     byte-identical to one lane, and only run and yield take
+     --domains.
 
    Everything runs in a private temp dir with self-written decks and
    specs, so the driver has no data dependencies. *)
@@ -141,6 +144,52 @@ let () =
   let retired_flag = "--" ^ "backend" in
   let code, _ = run [ "run"; retired_flag; "dense"; "divider.sp" ] in
   check "unknown option exits 2" (code = 2);
+
+  (* --domains sizes only the sample lanes of run and yield; the verbs
+     whose passes always run on one domain reject it *)
+  List.iter
+    (fun args ->
+      let code, _ = run (args @ [ "--domains"; "2" ]) in
+      check
+        (Printf.sprintf "%s --domains exits 2" (List.hd args))
+        (code = 2))
+    [ [ "pnoise"; "divider.sp"; "-o"; "out"; "--period"; "1u" ];
+      [ "mismatch"; "divider.sp"; "-o"; "out"; "--period"; "1u" ];
+      [ "dcmatch"; "divider.sp"; "-o"; "out" ];
+      [ "demo"; "comparator" ];
+      [ "submit"; "divider.sp" ] ];
+  let code, _ = run [ "serve"; "--job-domains"; "2" ] in
+  check "serve --job-domains exits 2" (code = 2);
+
+  (* a .mc card runs its samples on --domains lanes: the trace names
+     both lane tracks, and the output matches a one-lane run byte for
+     byte *)
+  write_file "mc.sp"
+    "mirror monte carlo
+\
+     VDD vdd 0 1.2
+\
+     IREF vdd nref 100u
+\
+     M1 nref nref 0 0 nmos013 w=4u l=0.5u
+\
+     M2 out nref 0 0 nmos013 w=4u l=0.5u
+\
+     RL vdd out 2k
+\
+     .mc n=64 seed=7
+\
+     .end
+";
+  let code1, out1 = run [ "run"; "mc.sp"; "--domains"; "1" ] in
+  let code2, out2 =
+    run [ "run"; "mc.sp"; "--domains"; "2"; "--trace"; "mc.trace.json" ]
+  in
+  check ".mc runs exit 0" (code1 = 0 && code2 = 0);
+  check ".mc output byte-identical across --domains" (out1 = out2);
+  let trace = read_file "mc.trace.json" in
+  check ".mc trace has two lane tracks"
+    (contains trace "\"lane 0\"" && contains trace "\"lane 1\"");
 
   (* ------------------------------------------------------------- *)
   (* sweep smoke: process isolation, then resume reuses the journal *)

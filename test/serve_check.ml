@@ -19,7 +19,9 @@
    - malformed decks and malformed request lines produce structured
      failure responses, not connection drops;
    - a deck submitted by `varsim submit` and the same deck text in a
-     bare protocol request share one fingerprint and one cache entry;
+     bare protocol request share one fingerprint and one cache entry,
+     and a request carrying an unknown field (a "domains" count) gets
+     the same answer;
    - SIGTERM drains cleanly: exit 0 and the socket unlinked. *)
 
 let varsim =
@@ -323,6 +325,16 @@ let () =
     call ~socket (Printf.sprintf "{\"op\":\"run\",\"deck\":%s}" (json_string deck))
   in
   check "raw request after submit is a cache hit" (flag "cache_hit" raw);
+  (* unknown request fields are ignored: a "domains" count changes nothing *)
+  let _, with_domains =
+    call ~socket
+      (Printf.sprintf "{\"op\":\"run\",\"deck\":%s,\"domains\":4}"
+         (json_string deck))
+  in
+  check "a \"domains\" field is ignored"
+    (str "outcome" with_domains = Some "ok"
+     && str "fingerprint" with_domains <> None
+     && str "fingerprint" with_domains = str "fingerprint" raw);
   check "daemon drains" (stop_daemon pid3 = Unix.WEXITED 0);
   let submit_fp =
     In_channel.with_open_bin events3 In_channel.input_all

@@ -112,10 +112,10 @@ let test_metrics_json () =
   let c = divider () in
   with_obs (fun () ->
       Obs.root "varsim" (fun () ->
-          let ctx = Analysis.prepare ~steps:50 ~domains:2 c ~period:1e-6 in
+          let ctx = Analysis.prepare ~steps:50 c ~period:1e-6 in
           ignore
-            (Pnoise.analyze ~domains:2 ctx.Analysis.lptv ~output:"out"
-               ~harmonic:0 ~sources:ctx.Analysis.sources));
+            (Pnoise.analyze ctx.Analysis.lptv ~output:"out" ~harmonic:0
+               ~sources:ctx.Analysis.sources));
       let m = Obs_json.parse (Obs.metrics_json ()) in
       let root =
         match Obs_json.member "root" m with
@@ -131,9 +131,10 @@ let test_metrics_json () =
       Alcotest.(check bool) "lptv.builds counted" true
         (find_counter m "lptv.builds" = 1))
 
-(* with [~timeline:false] (the serve daemon without --trace) spans
-   still aggregate but leave no slices behind: the same run yields the
-   same tracks and span tree and no complete events *)
+(* a 2-lane Monte Carlo run names one track per sample lane.  With
+   [~timeline:false] (the serve daemon without --trace) spans still
+   aggregate but leave no slices behind: the same run yields the same
+   tracks and span tree and no complete events *)
 let test_trace_json () =
   let c = divider () in
   List.iter
@@ -141,8 +142,10 @@ let test_trace_json () =
       Obs.enable ~timeline ();
       Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
       Obs.root "varsim" (fun () ->
-          let pss = Pss.solve ~steps:50 c ~period:1e-6 in
-          ignore (Lptv.build ~domains:2 pss ~f_offset:1.0));
+          ignore
+            (Monte_carlo.run_scalar ~seed:3 ~domains:2 ~n:16 ~circuit:c
+               ~measure:(fun c' -> Circuit.voltage c' (Dc.solve c') "out")
+               ()));
       let t = Obs_json.parse (Obs.trace_json ()) in
       let evs =
         match Obs_json.member "traceEvents" t with
@@ -383,8 +386,8 @@ let test_bit_identical () =
     x_off;
   let psd_of () =
     let d = divider () in
-    let ctx = Analysis.prepare ~steps:40 ~domains:2 d ~period:1e-6 in
-    (Pnoise.analyze ~domains:2 ctx.Analysis.lptv ~output:"out" ~harmonic:0
+    let ctx = Analysis.prepare ~steps:40 d ~period:1e-6 in
+    (Pnoise.analyze ctx.Analysis.lptv ~output:"out" ~harmonic:0
        ~sources:ctx.Analysis.sources)
       .Pnoise.total_psd
   in

@@ -111,6 +111,42 @@ let test_clock_skip_deterministic_timeout () =
       true
       (info.Budget.elapsed_s >= 3600.0)
 
+let test_budget_stops_passes_within_one_index () =
+  let c = switched_inverter () in
+  let pss = Pss.solve ~steps:64 c ~period:4e-9 in
+  (* visit 0 of "budget.clock" is the Budget.make read and visit k the
+     check before step k: skipping visit 5 expires the budget just
+     before the fifth step factorization *)
+  with_faults [ trigger "budget.clock" 5 (Faultsim.Clock_skip 3600.0) ]
+    (fun () ->
+      let budget = Budget.make ~wall_s:1.0 ~label:"lptv" () in
+      (match Lptv.build ~budget pss ~f_offset:1.0 with
+       | _ -> Alcotest.fail "expected Timed_out from the step loop"
+       | exception Budget.Timed_out _ -> ());
+      Alcotest.(check int) "no step factorized after expiry" 4
+        (Faultsim.visits "lptv.factor"));
+  (* the budget is cancelled while source 2 is read: source 3 never is *)
+  let lptv = Lptv.build pss ~f_offset:1.0 in
+  let budget = Budget.make ~label:"pnoise" () in
+  let last = ref (-1) in
+  let sources =
+    Array.mapi
+      (fun i (src : Pnoise.source) ->
+        { src with
+          Pnoise.src_inject =
+            (fun k ->
+              last := i;
+              if i = 2 then Budget.cancel budget;
+              src.Pnoise.src_inject k) })
+      (Pnoise.mismatch_sources lptv)
+  in
+  Alcotest.(check bool) "more than three sources" true
+    (Array.length sources > 3);
+  (match Pnoise.analyze ~budget lptv ~output:"out2" ~harmonic:0 ~sources with
+   | _ -> Alcotest.fail "expected Timed_out from the source loop"
+   | exception Budget.Timed_out _ -> ());
+  Alcotest.(check int) "no source read after expiry" 2 !last
+
 (* --------------------------------------- transient-fault bit-identity *)
 
 let test_dc_transient_faults_bit_identical () =
@@ -139,25 +175,32 @@ let test_tran_step_fault_bit_identical () =
     v_ref
 
 let test_lane_faults_bit_identical () =
-  (* a pool-lane body killed mid-job (domains = 2) at both parallel
-     fault sites: the job-level transient retry must reproduce the
-     fault-free mismatch PSD bit-for-bit *)
+  (* an exception killing the LPTV step-factorization loop and the
+     PNOISE source loop mid-run: the loop-level transient retry must
+     reproduce the fault-free mismatch PSD bit-for-bit *)
   let c = switched_inverter () in
   let pss = Pss.solve ~steps:64 c ~period:4e-9 in
   let psd () =
-    let lptv = Lptv.build ~domains:2 pss ~f_offset:1.0 in
+    let lptv = Lptv.build pss ~f_offset:1.0 in
     let sources = Pnoise.mismatch_sources lptv in
-    let sb =
-      Pnoise.analyze ~domains:2 lptv ~output:"out2" ~harmonic:0 ~sources
-    in
+    let sb = Pnoise.analyze lptv ~output:"out2" ~harmonic:0 ~sources in
     sb.Pnoise.total_psd
   in
   let psd_ref = psd () in
   Alcotest.(check bool) "reference PSD positive" true (psd_ref > 0.0);
-  with_faults [ trigger "lptv.factor" 0 (Faultsim.Exn "lane died") ] (fun () ->
-      check_exact "lptv lane fault recovered" psd_ref (psd ()));
-  with_faults [ trigger "pnoise.transfer" 0 (Faultsim.Exn "lane died") ]
-    (fun () -> check_exact "pnoise lane fault recovered" psd_ref (psd ()))
+  let n_sources =
+    Array.length (Pnoise.mismatch_sources (Lptv.build pss ~f_offset:1.0))
+  in
+  (* the fault kills index 3 (5): the loop re-runs from index 0 *)
+  with_faults [ trigger "lptv.factor" 3 (Faultsim.Exn "loop died") ] (fun () ->
+      check_exact "lptv factor fault recovered" psd_ref (psd ());
+      Alcotest.(check int) "step loop re-ran whole" (4 + 64)
+        (Faultsim.visits "lptv.factor"));
+  with_faults [ trigger "pnoise.transfer" 5 (Faultsim.Exn "loop died") ]
+    (fun () ->
+      check_exact "pnoise transfer fault recovered" psd_ref (psd ());
+      Alcotest.(check int) "source loop re-ran whole" (6 + n_sources)
+        (Faultsim.visits "pnoise.transfer"))
 
 (* ------------------------------------------- persistent-fault typing *)
 
@@ -316,6 +359,8 @@ let () =
             test_wall_budget_structured_timeout;
           Alcotest.test_case "clock skip times out deterministically" `Quick
             test_clock_skip_deterministic_timeout;
+          Alcotest.test_case "expiry stops lptv and pnoise within one index"
+            `Quick test_budget_stops_passes_within_one_index;
         ] );
       ( "fault recovery",
         [
