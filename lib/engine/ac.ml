@@ -56,14 +56,14 @@ let sparse_factorize (s : asparse) ~freq =
     match s.plan with
     | Some p -> p
     | None ->
-      let p = Linsys.csplu_plan s.pat zvals in
+      let p = Linsys.plan s.pat zvals in
       s.plan <- Some p;
       p
   in
   match Csplu.factorize plan s.pat zvals with
   | f -> f
   | exception Csplu.Singular _ ->
-    let p = Linsys.csplu_plan s.pat zvals in
+    let p = Linsys.plan s.pat zvals in
     s.plan <- Some p;
     Csplu.factorize p s.pat zvals
 

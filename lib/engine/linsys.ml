@@ -8,14 +8,24 @@ let auto_threshold = 64
 
 let solver_for n = if n >= auto_threshold then Krylov else Dense
 
-(* process-wide count of krylov→dense fallbacks (GMRES stagnation),
-   mirroring [degradation_total] so outcome records can surface both *)
-let krylov_fallback_total = Atomic.make 0
-let krylov_fallback_count () = Atomic.get krylov_fallback_total
+(* Fallback accounts.  A job runs on one domain at a time (a CLI
+   process, a serve lane, a sweep lane), so each domain counts its own
+   fallbacks and a job's delta never sees another lane's.  Monte Carlo
+   sample lanes adopt the caller's account, so the counts are atomic. *)
+type account = { degradations : int Atomic.t; krylov_fallbacks : int Atomic.t }
+
+let account_key =
+  Domain.DLS.new_key (fun () ->
+      { degradations = Atomic.make 0; krylov_fallbacks = Atomic.make 0 })
+
+let account () = Domain.DLS.get account_key
+let adopt_account a = Domain.DLS.set account_key a
+let degradation_count () = Atomic.get (account ()).degradations
+let krylov_fallback_count () = Atomic.get (account ()).krylov_fallbacks
 
 let note_krylov_fallback () =
   Obs.count "linsys.krylov_fallback" 1;
-  ignore (Atomic.fetch_and_add krylov_fallback_total 1 : int)
+  Atomic.incr (account ()).krylov_fallbacks
 
 exception Singular_row of int
 
@@ -25,24 +35,14 @@ type repr =
 
 and rsparse = {
   pat : Csr.t;
-  mutable plan : Splu.plan option;
+  mutable plan : Csplu.plan option;
 }
 
 type rsys = {
   size : int;
   repr : repr;
   sink : Stamp.jac_sink;
-  mutable degraded : bool;
-      (* a sparse factorization persistently failed and the values were
-         re-factorized densely at least once — surfaced in result
-         records so the degradation is never silent *)
 }
-
-(* process-wide count of sparse→dense fallbacks, so outcome records can
-   report degradations that happened anywhere below them *)
-let degradation_total = Atomic.make 0
-let degradation_count () = Atomic.get degradation_total
-let degraded sys = sys.degraded
 
 let make ?solver circuit =
   let n = Circuit.size circuit in
@@ -51,51 +51,38 @@ let make ?solver circuit =
     Obs.count "linsys.sys.sparse" 1;
     let pat = Stamp.pattern circuit in
     { size = n; repr = Rsparse { pat; plan = None };
-      sink = Stamp.csr_sink pat; degraded = false }
+      sink = Stamp.csr_sink pat }
   | Dense ->
     Obs.count "linsys.sys.dense" 1;
     let m = Mat.create n n in
-    { size = n; repr = Rdense m; sink = Stamp.dense_sink m; degraded = false }
+    { size = n; repr = Rdense m; sink = Stamp.dense_sink m }
 
 type rfact = Fdense of Lu.t | Fsparse of Splu.t
 
 (* ------------------------------------------------------------------ *)
 (* process-global plan cache (docs/serving.md)
 
-   Keyed on the exact pattern AND the exact planning values (raw
-   IEEE-754 bits), so a hit returns precisely the plan a fresh
-   Splu.plan/Csplu.plan call would have computed: replayed pivots are
-   identical, results are bit-identical, and the cache is observable
-   only as fewer "symbolic.plan" increments.  Shared across analyses in
-   one process — this is what lets a domain-isolated sweep (or the
-   serve daemon) plan a shared circuit once instead of once per
-   point. *)
+   One LRU for the real and the complex sparse systems: a real matrix
+   is planned as complex values with a +0 imaginary part (Splu.plan),
+   so both kinds share one plan type and one key.  Keyed on the exact
+   pattern AND the exact planning values (raw IEEE-754 bits), so a hit
+   returns precisely the plan a fresh Csplu.plan call would have
+   computed: replayed pivots are identical, results are bit-identical,
+   and the cache is observable only as fewer "symbolic.plan"
+   increments.  Shared across analyses in one process — this is what
+   lets a domain-isolated sweep (or the serve daemon) plan a shared
+   circuit once instead of once per point. *)
 
-let plan_cache : Splu.plan Lru.t = Lru.create ~capacity:64 "plan"
-let cplan_cache : Csplu.plan Lru.t = Lru.create ~capacity:64 "plan"
+let plans : Csplu.plan Lru.t = Lru.create ~capacity:128 "plan"
 
-let set_plan_cache_capacity n =
-  Lru.set_capacity plan_cache n;
-  Lru.set_capacity cplan_cache n
-
-let splu_plan ?(counter = "linsys.splu.plans") pat =
-  let key = Plan_key.reals ~tag:"splu" pat pat.Csr.v in
-  match Lru.find plan_cache key with
-  | Some p when Splu.plan_dim p = Csr.rows pat -> p
-  | Some _ | None ->
-    let p = Splu.plan pat in
-    Obs.count counter 1;
-    Lru.put plan_cache key p;
-    p
-
-let csplu_plan ?counter pat zvals =
-  let key = Plan_key.complexes ~tag:"csplu" pat zvals in
-  match Lru.find cplan_cache key with
+let plan ?counter pat zvals =
+  let key = Plan_key.digest pat zvals in
+  match Lru.find plans key with
   | Some p when Csplu.plan_dim p = Csr.rows pat -> p
   | Some _ | None ->
     let p = Csplu.plan pat zvals in
     (match counter with Some c -> Obs.count c 1 | None -> ());
-    Lru.put cplan_cache key p;
+    Lru.put plans key p;
     p
 
 (* the current sparse values as a dense matrix — the last resort when
@@ -141,15 +128,16 @@ let factorize ?(allow_degradation = true) sys =
       if not allow_degradation then raise (Singular_row k)
       else begin
         Obs.count "linsys.degraded_to_dense" 1;
-        ignore (Atomic.fetch_and_add degradation_total 1 : int);
-        sys.degraded <- true;
+        Atomic.incr (account ()).degradations;
         match Lu.factorize (dense_of_csr s.pat) with
         | lu -> Fdense lu
         | exception Lu.Singular k -> raise (Singular_row k)
       end
     in
     let replan_or_degrade () =
-      match splu_plan s.pat with
+      match
+        plan ~counter:"linsys.splu.plans" s.pat (Cvec.of_real s.pat.Csr.v)
+      with
       | p -> begin
         s.plan <- Some p;
         match Splu.factorize p s.pat with

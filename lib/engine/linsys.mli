@@ -25,9 +25,31 @@ val solver_for : int -> solver
     arguments of {!make}, [Dc], [Tran], [Pss] and [Lptv] override it
     only for parity oracles and kernel benches. *)
 
+(** {2 Fallback accounts}
+
+    Each domain counts the fallback rungs its own solves take: a job
+    runs on one domain at a time (a CLI process, a serve lane, a sweep
+    lane), so sampling the counts around a job attributes to it exactly
+    its own fallbacks, whatever other lanes do meanwhile.  Monte Carlo
+    sample lanes {!adopt_account} the caller's account, so [.mc] and
+    [.yield] samples count toward their job at any lane count. *)
+
+type account
+
+val account : unit -> account
+(** The calling domain's account. *)
+
+val adopt_account : account -> unit
+(** Count the calling domain's fallbacks into [account] from now on. *)
+
+val degradation_count : unit -> int
+(** Monotonic count of sparse→dense fallbacks in the calling domain's
+    account; sample it around a run to attribute degradations (what
+    [Resilient.run] reports). *)
+
 val krylov_fallback_count : unit -> int
-(** Process-wide monotonic count of krylov→dense fallbacks (GMRES
-    stagnation rungs taken), the krylov twin of
+(** Monotonic count of krylov→dense fallbacks (GMRES stagnation rungs
+    taken) in the calling domain's account, the krylov twin of
     {!degradation_count}. *)
 
 val note_krylov_fallback : unit -> unit
@@ -46,31 +68,18 @@ type repr =
 
 and rsparse = {
   pat : Csr.t; (* Stamp.pattern structure; v holds the current values *)
-  mutable plan : Splu.plan option; (* built lazily from first values *)
+  mutable plan : Csplu.plan option; (* built lazily from first values *)
 }
 
 type rsys = {
   size : int;
   repr : repr;
   sink : Stamp.jac_sink;
-  mutable degraded : bool;
-      (** at least one factorization of this system fell back from the
-          sparse to the dense backend — see {!factorize} *)
 }
 
 val make : ?solver:solver -> Circuit.t -> rsys
 (** Build the system storage for a circuit: dense for [Dense], sparse
     for [Sparse] and [Krylov] (default {!solver_for} of its size). *)
-
-val degraded : rsys -> bool
-(** This system's sticky sparse→dense degradation flag — result records
-    ({!Pss.t} via its [sys], analysis outcomes) surface it so a
-    degraded run is never silent. *)
-
-val degradation_count : unit -> int
-(** Process-wide monotonic count of sparse→dense fallbacks; sample it
-    around a run to attribute degradations (what [Resilient.run]
-    reports). *)
 
 (** A factorization, solvable from any number of domains
     concurrently. *)
@@ -78,24 +87,20 @@ type rfact = Fdense of Lu.t | Fsparse of Splu.t
 
 (** {2 Plan cache}
 
-    A process-global {!Lru} of symbolic factorization plans, keyed on
-    the exact pattern and the exact planning values ({!Plan_key}), so a
-    hit returns precisely the plan a fresh analysis would have computed
-    — bit-identical replays, observable only as speed and as fewer
+    A process-global {!Lru} of sparse LU plans (128 entries), one for
+    real and complex systems alike: a real matrix is planned as complex
+    values with a [+0] imaginary part ({!Splu.plan}).  Keyed on the
+    exact pattern and the exact planning values ({!Plan_key}), so a hit
+    returns precisely the plan a fresh analysis would have computed —
+    bit-identical replays, observable only as speed and as fewer
     ["symbolic.plan"] counter increments.  Hits/misses/evictions are
     the ["cache.plan.*"] counters (docs/serving.md). *)
 
-val splu_plan : ?counter:string -> Csr.t -> Splu.plan
-(** Plan (or fetch a cached plan for) a real pattern on its current
-    values.  [counter] (default ["linsys.splu.plans"]) is bumped only
-    when a plan is actually constructed. *)
-
-val csplu_plan : ?counter:string -> Csr.t -> Cvec.t -> Csplu.plan
-(** The complex twin, for the AC/LPTV [Csplu] planning sites. *)
-
-val set_plan_cache_capacity : int -> unit
-(** Resize both plan caches (default 64 entries each); 0 disables
-    them. *)
+val plan : ?counter:string -> Csr.t -> Cvec.t -> Csplu.plan
+(** Plan (or fetch a cached plan for) a pattern on complex values
+    aligned with its storage.  [counter] is bumped only when a plan is
+    actually constructed: {!factorize} passes
+    ["linsys.splu.plans"], [Lptv.build] ["lptv.csplu.plans"]. *)
 
 val factorize : ?allow_degradation:bool -> rsys -> rfact
 (** Factorize the current values.  Sparse: plans on first call; if a
@@ -103,9 +108,9 @@ val factorize : ?allow_degradation:bool -> rsys -> rfact
     point) it re-plans once; if the re-planned factorization is still
     singular and [allow_degradation] (default true), the same values
     are re-factorized densely — counted as ["linsys.degraded_to_dense"]
-    and latched in {!degraded} — before giving up.  Raises
-    {!Singular_row} when nothing worked (or immediately on a singular
-    dense/disallowed-degradation path).  The ["linsys.splu"]
+    and in the calling domain's {!degradation_count} — before giving
+    up.  Raises {!Singular_row} when nothing worked (or immediately on
+    a singular dense/disallowed-degradation path).  The ["linsys.splu"]
     {!Faultsim} site can force the sparse path to fail. *)
 
 val solve : rfact -> Vec.t -> Vec.t

@@ -185,7 +185,7 @@ let build ?solver ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
       in
       (* one symbolic plan on the k = 1 values, replayed for every step *)
       stamp_at 1;
-      let plan = Linsys.csplu_plan ~counter:"lptv.csplu.plans" pat zvals in
+      let plan = Linsys.plan ~counter:"lptv.csplu.plans" pat zvals in
       let fs =
         factor_steps (fun k ->
             stamp_at k;

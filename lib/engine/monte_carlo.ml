@@ -53,9 +53,12 @@ let run ?(seed = 42) ?(domains = 1) ?(first = 0) ?transform ?weight ?stop
     | None, (Some _ as s) -> s
     | Some b, Some s -> Some (fun () -> b () || s ())
   in
+  (* sample lanes count their fallbacks toward the caller's job *)
+  let account = Linsys.account () in
   Domain_pool.with_pool domains (fun pool ->
       Domain_pool.parallel_for pool n ~label:"monte_carlo.sample" ?should_stop
         (fun i ->
+          Linsys.adopt_account account;
           results.(i) <-
             run_sample ~seed ~first ~transform ~weight ~params ~circuit
               ~measure i));

@@ -31,7 +31,9 @@ val run :
   result
 (** [measure] may raise; such samples are dropped (counted in
     [failed]).  [domains] > 1 runs samples in parallel (the measurement
-    function must not mutate shared state).  [transform] maps the raw
+    function must not mutate shared state); every sample lane adopts
+    the caller's {!Linsys.account}, so the samples' solver fallbacks
+    count toward the calling job at any lane count.  [transform] maps the raw
     i.i.d. standard-normal-scaled deviation vector before application —
     pass {!Correlated.transform} composed appropriately to sample
     correlated mismatch (paper §III-C).

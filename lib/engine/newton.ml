@@ -7,8 +7,6 @@ type result = {
   worst_row : int option;
   last_fact : Linsys.rfact option;
   singular_row : int option;
-  retries : int;
-  degraded : bool;
 }
 
 exception No_convergence of string
@@ -46,13 +44,11 @@ let solve ~eval ~sys ~x0 ?budget ?(policy = Retry.default) ?(max_iter = 80)
   let x = Vec.copy x0 in
   let g = Vec.create n in
   let hist = ref [] in
-  let retries = ref 0 in
   let history () = Array.of_list (List.rev !hist) in
   let fail ?singular iter gnorm last_fact =
     { x; iterations = iter; converged = false; residual_norm = gnorm;
       residual_history = history (); worst_row = argmax_abs g;
-      last_fact; singular_row = singular; retries = !retries;
-      degraded = Linsys.degraded sys }
+      last_fact; singular_row = singular }
   in
   (* One eval + factorize, re-attempted up to [policy.max_retries]
      times on a non-finite residual or singular factorization.  The
@@ -82,7 +78,6 @@ let solve ~eval ~sys ~x0 ?budget ?(policy = Retry.default) ?(max_iter = 80)
     if not (Float.is_finite gnorm) then
       if tries < policy.Retry.max_retries then begin
         Retry.rung "newton.retry";
-        incr retries;
         stage (tries + 1)
       end
       else `Nonfinite gnorm
@@ -92,7 +87,6 @@ let solve ~eval ~sys ~x0 ?budget ?(policy = Retry.default) ?(max_iter = 80)
       | Error k ->
         if tries < policy.Retry.max_retries then begin
           Retry.rung "newton.retry";
-          incr retries;
           stage (tries + 1)
         end
         else `Singular (gnorm, k)
@@ -119,8 +113,7 @@ let solve ~eval ~sys ~x0 ?budget ?(policy = Retry.default) ?(max_iter = 80)
         if gnorm <= abstol && step <= xtol then
           { x; iterations = iter + 1; converged = true;
             residual_norm = gnorm; residual_history = history ();
-            worst_row = None; last_fact = Some fact; singular_row = None;
-            retries = !retries; degraded = Linsys.degraded sys }
+            worst_row = None; last_fact = Some fact; singular_row = None }
         else if iter + 1 >= max_iter then fail (iter + 1) gnorm (Some fact)
         else iterate (iter + 1) (Some fact)
       end

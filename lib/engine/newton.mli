@@ -22,12 +22,6 @@ type result = {
   singular_row : int option;
       (** when the Jacobian factorization failed, the original MNA
           unknown index it died on — see {!Circuit.row_name} *)
-  retries : int;
-      (** transient-failure re-attempts (non-finite residual / singular
-          factorization re-runs) absorbed during this solve *)
-  degraded : bool;
-      (** the linear system fell back from sparse to dense at least
-          once — see {!Linsys.degraded} *)
 }
 
 exception No_convergence of string

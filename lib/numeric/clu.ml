@@ -22,15 +22,11 @@ let[@inline] div_into qre qim i xr xi yr yi =
     Array.unsafe_set qim i (((r *. xi) -. xr) /. d)
   end
 
-let factorize ?pivot_tol m =
+let factorize m =
   let n = Cmat.rows m in
   if Cmat.cols m <> n then invalid_arg "Clu.factorize: matrix not square";
   let scale = Cmat.max_abs m in
-  let tol =
-    match pivot_tol with
-    | Some t -> t
-    | None -> 1e-13 *. Float.max scale 1e-300
-  in
+  let tol = 1e-13 *. Float.max scale 1e-300 in
   let lu = Cmat.copy m in
   let re = lu.Cmat.re and im = lu.Cmat.im in
   let perm = Array.init n (fun i -> i) in
@@ -119,8 +115,6 @@ let solve t b =
   let x = Cvec.create t.n in
   solve_into t b x;
   x
-
-let solve_inplace t b = Cvec.blit (solve t b) b
 
 (* [scratch] holds the intermediate of the two triangular sweeps; it may
    alias [b] (the solve then runs in place) but never [x]. *)

@@ -7,9 +7,11 @@ type t
 
 exception Singular of int
 
-val factorize : ?pivot_tol:float -> Cmat.t -> t
+val factorize : Cmat.t -> t
+(** Raises {!Singular} if a pivot magnitude falls below [1e-13]
+    relative to the largest matrix entry. *)
+
 val solve : t -> Cvec.t -> Cvec.t
-val solve_inplace : t -> Cvec.t -> unit
 
 val solve_into : t -> Cvec.t -> Cvec.t -> unit
 (** [solve_into lu b x] stores [A⁻¹b] in [x] without allocating; [x]

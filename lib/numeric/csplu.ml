@@ -1,19 +1,24 @@
-(* Complex Gilbert–Peierls sparse LU with plan/replay, mirroring Splu.
+(* Gilbert–Peierls left-looking sparse LU (CSparse cs_lu style) with
+   threshold partial pivoting, split into a reusable [plan] (column
+   order, pivot order, L/U pattern, csr→column scatter map) and a cheap
+   numeric replay.  The planner runs on complex values and is the only
+   one: Splu plans its real matrices here with a +0 imaginary part.
    Values, L/U factors and solve vectors all live in split re/im float
-   arrays (Cvec), so every loop runs on unboxed floats. *)
+   arrays (Cvec), so every loop runs on unboxed floats.  See
+   docs/solver.md for the derivation. *)
 
 type plan = {
   n : int;
-  q : int array;
-  pinv : int array;
-  prow : int array;
-  up : int array;
-  ui : int array;
-  lp : int array;
-  li : int array;
-  cp : int array;
-  cri : int array;
-  cpos : int array;
+  q : int array; (* column order: permuted column j is original q.(j) *)
+  pinv : int array; (* original row -> pivot position *)
+  prow : int array; (* pivot position -> original row *)
+  up : int array; (* n+1 column pointers into ui *)
+  ui : int array; (* U entries: pivot positions k < j, elimination order *)
+  lp : int array; (* n+1 column pointers into li *)
+  li : int array; (* L entries: original row indices *)
+  cp : int array; (* n+1 pointers into cri/cpos, per permuted column *)
+  cri : int array; (* original row of each entry of column q.(j) *)
+  cpos : int array; (* position of that entry in the value array *)
 }
 
 type t = {
@@ -54,6 +59,7 @@ let[@inline] div_into qre qim i xr xi yr yi =
     Array.unsafe_set qim i (((r *. xi) -. xr) /. d)
   end
 
+(* per permuted column: original rows and value positions of A(:, q.(j)) *)
 let build_colmap n (q : int array) (csr : Csr.t) =
   let qinv = Array.make n 0 in
   Array.iteri (fun k c -> qinv.(c) <- k) q;
@@ -81,21 +87,21 @@ let build_colmap n (q : int array) (csr : Csr.t) =
   done;
   (cp, cri, cpos)
 
-let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
+let plan (csr : Csr.t) (vals : Cvec.t) =
   let n = Csr.rows csr in
   if Csr.cols csr <> n then invalid_arg "Csplu.plan: matrix not square";
   if Cvec.dim vals <> Csr.nnz csr then
     invalid_arg "Csplu.plan: values/pattern length mismatch";
-  let sym = Symbolic.analyze ?ordering csr in
+  let sym = Symbolic.analyze csr in
   let q = Array.copy sym.Symbolic.q in
   let cp, cri, cpos = build_colmap n q csr in
-  let tol =
-    match pivot_tol with Some t -> t | None -> default_tol vals
-  in
+  let tol = default_tol vals in
   let pinv = Array.make n (-1) in
   let prow = Array.make n 0 in
   let lp = Array.make (n + 1) 0 in
   let up = Array.make (n + 1) 0 in
+  (* growable L/U pattern storage; lxr/lxi hold the plan-time numeric L
+     needed to keep eliminating (discarded when the plan is done) *)
   let cap0 = Stdlib.max (4 * n) 16 in
   let li = ref (Array.make cap0 0) in
   let lxr = ref (Array.make cap0 0.0) in
@@ -137,6 +143,10 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
     lp.(j) <- !ln;
     up.(j) <- !un;
     let c = q.(j) in
+    (* 1. pattern: DFS reach of A(:,c) through finished L columns.
+       Children of a pivoted row (pivot position k) are the rows of
+       L(:,k); unpivoted rows are leaves.  Postorder of the pivoted
+       nodes, reversed, is a valid elimination order. *)
     let nreach = ref 0 and ntopo = ref 0 in
     for p = cp.(j) to cp.(j + 1) - 1 do
       let i0 = cri.(p) in
@@ -181,10 +191,12 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
         done
       end
     done;
+    (* 2. scatter values (x is all-zero between columns) *)
     for p = cp.(j) to cp.(j + 1) - 1 do
       xr.(cri.(p)) <- vals.re.(cpos.(p));
       xi.(cri.(p)) <- vals.im.(cpos.(p))
     done;
+    (* 3. numeric elimination in topological (reverse-postorder) order *)
     for ti = !ntopo - 1 downto 0 do
       let k = topo.(ti) in
       push_u k;
@@ -198,6 +210,7 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
           xi.(r) <- xi.(r) -. ((lr *. ki) +. (l_i *. kr))
         done
     done;
+    (* 4. threshold partial pivoting with diagonal preference *)
     let amax = ref 0.0 in
     let arg = ref (-1) in
     for ri = 0 to !nreach - 1 do
@@ -221,6 +234,8 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
     pinv.(pr) <- j;
     prow.(j) <- pr;
     let pvr = xr.(pr) and pvi = xi.(pr) in
+    (* 5. record L(:,j) — every reached unpivoted row, zeros included,
+       so the pattern is stable under value changes *)
     for ri = 0 to !nreach - 1 do
       let r = reach.(ri) in
       if pinv.(r) < 0 then begin
@@ -230,6 +245,7 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
         incr ln
       end
     done;
+    (* 6. clear x over the reach *)
     for ri = 0 to !nreach - 1 do
       let r = reach.(ri) in
       xr.(r) <- 0.0;
@@ -252,15 +268,13 @@ let plan ?ordering ?pivot_tol (csr : Csr.t) (vals : Cvec.t) =
     cpos;
   }
 
-let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cvec.t) =
+let refactorize t (csr : Csr.t) (vals : Cvec.t) =
   let p = t.plan in
   if Csr.rows csr <> p.n || Csr.cols csr <> p.n then
     invalid_arg "Csplu.refactorize: dimension mismatch";
   if Cvec.dim vals <> Csr.nnz csr then
     invalid_arg "Csplu.refactorize: values/pattern length mismatch";
-  let tol =
-    match pivot_tol with Some tl -> tl | None -> default_tol vals
-  in
+  let tol = default_tol vals in
   let xr = Array.make (Stdlib.max p.n 1) 0.0 in
   let xi = Array.make (Stdlib.max p.n 1) 0.0 in
   for j = 0 to p.n - 1 do
@@ -305,7 +319,7 @@ let refactorize ?pivot_tol t (csr : Csr.t) (vals : Cvec.t) =
     done
   done
 
-let factorize ?pivot_tol plan csr vals =
+let factorize plan csr vals =
   let nl = Stdlib.max (Array.length plan.li) 1 in
   let nu = Stdlib.max (Array.length plan.ui) 1 in
   let nd = Stdlib.max plan.n 1 in
@@ -320,7 +334,7 @@ let factorize ?pivot_tol plan csr vals =
       dxi = Array.make nd 0.0;
     }
   in
-  refactorize ?pivot_tol t csr vals;
+  refactorize t csr vals;
   t
 
 let check_solve name n (scratch : Cvec.t) (b : Cvec.t) (x : Cvec.t) =

@@ -1,9 +1,15 @@
-(** Complex sparse LU — the {!Splu} algorithm over complex values.
+(** Complex sparse LU, and the one sparse LU planner.
 
     Used by the AC/PNOISE paths where the per-frequency / per-timestep
     system is [C·(1/h + jω) + G(t_k)]: the pattern is fixed by the
     circuit, only values change, so one {!plan} serves every frequency
     and every timestep.
+
+    {!plan} is also the planner of the real {!Splu}: a real matrix is
+    planned as complex values with a [+0] imaginary part.  With every
+    imaginary part [±0] each magnitude the planner compares equals the
+    real one ([Float.hypot x (±0.)] is [|x|]), so the plan is the one a
+    real planner would record (docs/solver.md §2).
 
     A complex matrix is represented as a real {!Csr.t} carrying the
     pattern (its value array is ignored) plus a {!Cvec.t} of values
@@ -14,23 +20,44 @@
     mutation, safe against one factorization from many domains.  The
     [_into] solves allocate nothing. *)
 
-type plan
+(** A plan is structure only: the orders and patterns Gilbert–Peierls
+    elimination with threshold partial pivoting chose on representative
+    values.  The replays of {!Splu} and {!Csplu} read these fields. *)
+type plan = private {
+  n : int;
+  q : int array;  (** column order: permuted column j is original [q.(j)] *)
+  pinv : int array;  (** original row -> pivot position *)
+  prow : int array;  (** pivot position -> original row *)
+  up : int array;  (** n+1 column pointers into [ui] *)
+  ui : int array;  (** U entries: pivot positions k < j, elimination order *)
+  lp : int array;  (** n+1 column pointers into [li] *)
+  li : int array;  (** L entries: original row indices *)
+  cp : int array;  (** n+1 pointers into [cri]/[cpos], per permuted column *)
+  cri : int array;  (** original row of each entry of column [q.(j)] *)
+  cpos : int array;  (** position of that entry in the pattern's storage *)
+}
+
 type t
 
 exception Singular of int
-(** Pivot failure at an original unknown (column) index, as in
-    {!Splu.Singular}. *)
+(** [Singular j] — elimination found no acceptable pivot for original
+    unknown (column) [j].  Unlike dense {!Clu.Singular}, the index is in
+    original matrix coordinates so it can be mapped straight back to a
+    circuit node or branch.  {!Splu.Singular} is this exception. *)
 
-val plan :
-  ?ordering:Symbolic.ordering -> ?pivot_tol:float -> Csr.t -> Cvec.t -> plan
-(** [plan pat vals] analyzes the pattern [pat] with representative
-    complex values [vals] (length [Csr.nnz pat]). *)
+val plan : Csr.t -> Cvec.t -> plan
+(** [plan pat vals] analyzes the pattern [pat] ({!Symbolic.Rcm} column
+    order) with representative complex values [vals] (length
+    [Csr.nnz pat]); the pivot tolerance is [1e-13 · max|a_ij|]. *)
 
 val plan_dim : plan -> int
 val dim : t -> int
 
-val factorize : ?pivot_tol:float -> plan -> Csr.t -> Cvec.t -> t
-val refactorize : ?pivot_tol:float -> t -> Csr.t -> Cvec.t -> unit
+val factorize : plan -> Csr.t -> Cvec.t -> t
+(** Numeric factorization of values in the plan's pattern.  Raises
+    [Singular j] when a replayed pivot falls below tolerance. *)
+
+val refactorize : t -> Csr.t -> Cvec.t -> unit
 
 val solve_into : t -> scratch:Cvec.t -> Cvec.t -> Cvec.t -> unit
 (** [solve_into t ~scratch b x] solves [A·x = b]; [b], [x] and

@@ -7,15 +7,11 @@ type t = {
 
 exception Singular of int
 
-let factorize ?pivot_tol m =
+let factorize m =
   let n = Mat.rows m in
   if Mat.cols m <> n then invalid_arg "Lu.factorize: matrix not square";
   let scale = Mat.max_abs m in
-  let tol =
-    match pivot_tol with
-    | Some t -> t
-    | None -> 1e-13 *. Float.max scale 1e-300
-  in
+  let tol = 1e-13 *. Float.max scale 1e-300 in
   let lu = Mat.copy m in
   let perm = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
@@ -148,15 +144,3 @@ let solve_dense m b = solve (factorize m) b
 let inverse m =
   let t = factorize m in
   solve_mat t (Mat.identity t.n)
-
-let rcond_estimate m t =
-  let n = t.n in
-  if n = 0 then 1.0
-  else begin
-    (* estimate |A⁻¹|∞ by solving against a ±1 vector chosen to grow *)
-    let b = Array.make n 1.0 in
-    let x = solve t b in
-    let ainv = Vec.norm_inf x in
-    let a = Mat.norm_inf m in
-    if ainv = 0.0 || a = 0.0 then 0.0 else 1.0 /. (a *. ainv)
-  end

@@ -9,10 +9,9 @@ exception Singular of int
 (** Raised when a pivot smaller than the singularity threshold is met;
     the payload is the elimination column. *)
 
-val factorize : ?pivot_tol:float -> Mat.t -> t
+val factorize : Mat.t -> t
 (** Factorize a square matrix.  Raises {!Singular} if a pivot magnitude
-    falls below [pivot_tol] (default [1e-13] relative to the largest
-    matrix entry). *)
+    falls below [1e-13] relative to the largest matrix entry. *)
 
 val solve : t -> Vec.t -> Vec.t
 (** [solve lu b] returns [x] with [A x = b]. *)
@@ -42,6 +41,3 @@ val solve_dense : Mat.t -> Vec.t -> Vec.t
 (** One-shot convenience: factorize and solve. *)
 
 val inverse : Mat.t -> Mat.t
-
-val rcond_estimate : Mat.t -> t -> float
-(** Cheap reciprocal-condition estimate |A|∞·|A⁻¹e|∞ based. *)

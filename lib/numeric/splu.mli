@@ -1,13 +1,16 @@
 (** Sparse LU with one-time symbolic analysis and in-place numeric
     refactorization (the KLU idea: plan once, replay many).
 
-    {!plan} runs Gilbert–Peierls left-looking elimination with threshold
-    partial pivoting on a representative matrix, recording the column
-    order, the pivot order, and the exact L/U fill pattern.
-    {!factorize}/{!refactorize} then replay that elimination against new
-    values in the same pattern in O(nnz(L+U) · average column depth)
-    without any searching — this is what makes per-timestep
-    refactorization cheap in transient, PSS and LPTV loops.
+    {!plan} records, on a representative matrix, the column order, the
+    pivot order and the exact L/U fill pattern of Gilbert–Peierls
+    left-looking elimination with threshold partial pivoting.  The
+    planner is {!Csplu.plan}, run on the real values with a [+0]
+    imaginary part, so a real and a complex matrix share one plan type
+    (docs/solver.md §2).  {!factorize}/{!refactorize} then replay that
+    elimination against new values in the same pattern in
+    O(nnz(L+U) · average column depth) without any searching — this is
+    what makes per-timestep refactorization cheap in transient, PSS and
+    LPTV loops.
 
     MNA matrices have structurally zero diagonals on voltage-source
     branch rows, so a no-pivot LU is unsafe; the plan's partial
@@ -19,32 +22,31 @@
     internal state, so one factorization can be solved against from
     many domains concurrently. *)
 
-type plan
+type plan = Csplu.plan
 type t
 
 exception Singular of int
-(** [Singular j] — elimination found no acceptable pivot for original
-    unknown (column) [j].  Unlike dense {!Lu.Singular}, the index is in
-    original matrix coordinates so it can be mapped straight back to a
-    circuit node or branch. *)
+(** {!Csplu.Singular} itself: [Singular j] — no acceptable pivot for
+    original unknown (column) [j].  Unlike dense {!Lu.Singular}, the
+    index is in original matrix coordinates so it can be mapped straight
+    back to a circuit node or branch. *)
 
-val plan : ?ordering:Symbolic.ordering -> ?pivot_tol:float -> Csr.t -> plan
-(** Symbolic + pivoting analysis using the matrix's current values.
-    Default ordering is {!Symbolic.Rcm}; default [pivot_tol] matches
-    {!Lu.factorize} ([1e-13 · max|a_ij|]). *)
+val plan : Csr.t -> plan
+(** [Csplu.plan csr (Cvec.of_real csr.v)]: the plan of the matrix's
+    current values ({!Symbolic.Rcm} order, pivot tolerance
+    [1e-13 · max|a_ij|] as in {!Lu.factorize}). *)
 
-val plan_dim : plan -> int
 val dim : t -> int
 val nnz_lu : t -> int
 (** Stored entries in L + U (fill included), for diagnostics. *)
 
-val factorize : ?pivot_tol:float -> plan -> Csr.t -> t
+val factorize : plan -> Csr.t -> t
 (** Numeric factorization of a matrix with the plan's pattern.  Raises
     [Singular j] when a replayed pivot falls below tolerance — callers
     typically re-{!plan} once and retry, since a big value change can
     invalidate the recorded pivot order. *)
 
-val refactorize : ?pivot_tol:float -> t -> Csr.t -> unit
+val refactorize : t -> Csr.t -> unit
 (** Like {!factorize} but reuses [t]'s storage. *)
 
 val solve_into : t -> scratch:Vec.t -> Vec.t -> Vec.t -> unit

@@ -459,25 +459,9 @@ let gauges () =
 
 (* ------------------------------------------------------------ JSON export *)
 
-let buf_escape b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let rec buf_span b t =
   Buffer.add_string b "{\"name\": ";
-  buf_escape b t.span_name;
+  Obs_json.add_quoted b t.span_name;
   Buffer.add_string b (Printf.sprintf ", \"calls\": %d" t.calls);
   Buffer.add_string b (Printf.sprintf ", \"wall_s\": %.9f" t.wall_s);
   Buffer.add_string b ", \"children\": [";
@@ -536,7 +520,7 @@ let metrics_json () =
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n    ";
-      buf_escape b name;
+      Obs_json.add_quoted b name;
       Buffer.add_string b (Printf.sprintf ": %d" v))
     (counters ());
   Buffer.add_string b "\n  },\n  \"gauges\": {";
@@ -544,7 +528,7 @@ let metrics_json () =
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n    ";
-      buf_escape b name;
+      Obs_json.add_quoted b name;
       Buffer.add_string b (Printf.sprintf ": %.17g" v))
     (gauges ());
   Buffer.add_string b "\n  },\n  \"histograms\": {";
@@ -552,7 +536,7 @@ let metrics_json () =
     (fun i (name, h) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "\n    ";
-      buf_escape b name;
+      Obs_json.add_quoted b name;
       Buffer.add_string b ": ";
       buf_hist b h)
     (histograms ());
@@ -584,7 +568,7 @@ let trace_json () =
         (Printf.sprintf
            " {\"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"name\": \
             \"thread_name\", \"args\": {\"name\": " tid);
-      buf_escape b name;
+      Obs_json.add_quoted b name;
       Buffer.add_string b "}}")
     trks;
   List.iter
@@ -594,7 +578,7 @@ let trace_json () =
         (Printf.sprintf " {\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"ts\": \
                          %.3f, \"dur\": %.3f, \"name\": " e.ev_tid e.ev_ts
            e.ev_dur);
-      buf_escape b e.ev_name;
+      Obs_json.add_quoted b e.ev_name;
       Buffer.add_string b "}")
     evs;
   Buffer.add_string b "\n]}\n";

@@ -8,6 +8,31 @@ type t =
 
 exception Parse_error of string
 
+(* the writer's half of the string escapes [parse] reads back *)
+let add_escaped b s =
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  add_escaped b s;
+  Buffer.contents b
+
+let add_quoted b s =
+  Buffer.add_char b '"';
+  add_escaped b s;
+  Buffer.add_char b '"'
+
 let fail pos msg =
   raise (Parse_error (Printf.sprintf "at offset %d: %s" pos msg))
 

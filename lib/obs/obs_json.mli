@@ -17,6 +17,16 @@ type t =
 exception Parse_error of string
 (** Position-annotated description of the first syntax error. *)
 
+val escape : string -> string
+(** Escape a string for the inside of a JSON string literal: quote,
+    backslash, [\n], [\r], [\t], and [\u00XX] for every other control
+    character — the escapes {!parse} reads back.  The one escaper of
+    every JSON writer in the tree (metrics and trace exports, telemetry
+    wire lines, sweep journal entries, serve responses). *)
+
+val add_quoted : Buffer.t -> string -> unit
+(** Append [s] as a JSON string literal, quotes included. *)
+
 val parse : string -> t
 (** Parse a complete JSON document (trailing whitespace allowed,
     trailing garbage rejected).  Raises {!Parse_error}. *)

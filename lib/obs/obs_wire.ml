@@ -3,25 +3,9 @@ let max_events = 5000
 
 (* ------------------------------------------------------------- export *)
 
-let esc b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
 let rec buf_span b (t : Obs.span_tree) =
   Buffer.add_string b "{\"name\":";
-  esc b t.Obs.span_name;
+  Obs_json.add_quoted b t.Obs.span_name;
   Buffer.add_string b
     (Printf.sprintf ",\"calls\":%d,\"wall_s\":%.9f,\"children\":[" t.Obs.calls
        t.Obs.wall_s);
@@ -40,21 +24,21 @@ let export_line () =
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      esc b name;
+      Obs_json.add_quoted b name;
       Buffer.add_string b (Printf.sprintf ":%d" v))
     (Obs.counters ());
   Buffer.add_string b "},\"gauges\":{";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      esc b name;
+      Obs_json.add_quoted b name;
       Buffer.add_string b (Printf.sprintf ":%.17g" v))
     (Obs.gauges ());
   Buffer.add_string b "},\"histograms\":{";
   List.iteri
     (fun i (name, h) ->
       if i > 0 then Buffer.add_char b ',';
-      esc b name;
+      Obs_json.add_quoted b name;
       Buffer.add_char b ':';
       Histogram.to_json_buf b h)
     (Obs.histograms ());
@@ -77,7 +61,7 @@ let export_line () =
     (fun i (name, ts, dur) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_char b '[';
-      esc b name;
+      Obs_json.add_quoted b name;
       Buffer.add_string b (Printf.sprintf ",%.3f,%.3f]" ts dur))
     evs;
   Buffer.add_string b "]}";

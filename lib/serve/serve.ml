@@ -73,7 +73,7 @@ let stop_requested = Atomic.make false
 (* ------------------------------------------------------------------ *)
 (* wire format *)
 
-let esc = Sweep_journal.json_escape
+let esc = Obs_json.escape
 
 let write_line conn line =
   Mutex.lock conn.wmutex;

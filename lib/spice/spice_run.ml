@@ -229,7 +229,7 @@ let run_analysis ?domains ?steps ?f_offset ?policy ?budget ?cache ppf
 let run ?domains ?steps ?f_offset ?policy ?budget ?cache ppf deck =
   if deck.Spice_elab.title <> "" then
     Format.fprintf ppf "* %s@.@." deck.Spice_elab.title;
-  (* end-of-run degradation summary: sample the process-wide fallback
+  (* end-of-run degradation summary: sample this domain's fallback
      counters around the whole deck so a run that silently leaned on
      the dense backend says so in its own output (not only as a
      point-of-fallback stderr warning) — and so sweep workers can read

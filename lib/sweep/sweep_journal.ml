@@ -11,22 +11,6 @@ type entry = {
 
 type t = { fd : Unix.file_descr; mutex : Mutex.t }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let entry_to_json e =
   let value =
     match e.value with
@@ -35,7 +19,8 @@ let entry_to_json e =
   in
   Printf.sprintf
     "{\"hash\":\"%s\",\"id\":%d,\"outcome\":\"%s\",\"metric\":\"%s\",\"value\":%s,\"degraded\":%d,\"attempts\":%d,\"elapsed_s\":%.3f}"
-    (json_escape e.hash) e.id (json_escape e.outcome) (json_escape e.metric)
+    (Obs_json.escape e.hash) e.id (Obs_json.escape e.outcome)
+    (Obs_json.escape e.metric)
     value e.degraded e.attempts e.elapsed_s
 
 let entry_of_json line =

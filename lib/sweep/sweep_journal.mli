@@ -27,11 +27,6 @@ type entry = {
 
 type t
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal — the
-    encoding every line-oriented JSON producer in the tree shares
-    (journal entries, worker results, serve responses). *)
-
 val open_append : string -> t
 (** Open (creating if missing) for appending. *)
 

@@ -278,6 +278,117 @@ let test_monte_carlo_budget_partial () =
   Alcotest.(check int) "no budget: all samples" 16
     (Array.length r.Monte_carlo.values)
 
+(* ------------------------------------------------ fallback accounts *)
+
+(* The lanes below hand off through atomics, so each interleaving is
+   forced rather than timed. *)
+let await flag =
+  while not (Atomic.get flag) do
+    Domain.cpu_relax ()
+  done
+
+let test_accounts_are_per_domain () =
+  let b_started = Atomic.make false and a_noted = Atomic.make false in
+  let lane_a =
+    Domain.spawn (fun () ->
+        Resilient.run ~label:"a" (fun () ->
+            await b_started;
+            Linsys.note_krylov_fallback ();
+            Atomic.set a_noted true))
+  in
+  let out_b =
+    Resilient.run ~label:"b" (fun () ->
+        Atomic.set b_started true;
+        await a_noted)
+  in
+  let out_a = Domain.join lane_a in
+  Alcotest.(check int) "the noting lane counts its fallback" 1
+    out_a.Resilient.krylov_fallbacks;
+  Alcotest.(check int) "the other lane counts none" 0
+    out_b.Resilient.krylov_fallbacks
+
+let test_job_output_ignores_other_lanes () =
+  let deck =
+    Spice_elab.load_string
+      "lane divider\nV1 in 0 3\nR1 in mid 2k\nR2 mid 0 1k\n.op\n.end\n"
+  in
+  let job_started = Atomic.make false and noted = Atomic.make false in
+  let held = Atomic.make false in
+  (* the first analysis span the job opens is a point inside the job,
+     after both the job's and the run's counts were sampled: the job
+     waits there until the other lane has noted its fallback *)
+  Obs.enable ();
+  Obs.set_progress_all
+    (Some
+       (fun _ name phase ->
+         match phase with
+         | `Begin
+           when name <> "job.submit"
+                && Atomic.compare_and_set job_started false true ->
+           await noted;
+           Atomic.set held true
+         | `Begin | `End _ -> ()));
+  let out =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_progress_all None;
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let lane =
+          Domain.spawn (fun () ->
+              await job_started;
+              Linsys.note_krylov_fallback ();
+              Atomic.set noted true)
+        in
+        let out = Spice_job.submit (Spice_job.request deck) in
+        (* releases the lane should the job never reach a span *)
+        Atomic.set job_started true;
+        Domain.join lane;
+        out)
+  in
+  Alcotest.(check bool) "the job was held mid-run" true (Atomic.get held);
+  Alcotest.(check int) "no fallback billed to the job" 0
+    out.Spice_job.krylov_fallbacks;
+  let has_summary =
+    try
+      ignore (Str.search_forward (Str.regexp_string "resilience summary")
+                out.Spice_job.output 0 : int);
+      true
+    with Not_found -> false
+  in
+  Alcotest.(check bool) "no resilience summary line" false has_summary
+
+let test_sample_lanes_adopt_account () =
+  let c = divider () in
+  let row = Circuit.node_row c "mid" in
+  (* every sample notes one krylov fallback and degrades its sparse
+     solves to dense; the job must see all of them at any lane count *)
+  let measure c =
+    Linsys.note_krylov_fallback ();
+    [| (Dc.solve ~solver:Linsys.Sparse c).(row) |]
+  in
+  let counts domains =
+    with_faults [ trigger "linsys.splu" (-1) (Faultsim.Singular 0) ]
+      (fun () ->
+        let out =
+          Resilient.run ~label:"mc" (fun () ->
+              Monte_carlo.run ~domains ~n:16 ~circuit:c ~measure ())
+        in
+        (out.Resilient.krylov_fallbacks, out.Resilient.degradations))
+  in
+  let k1, d1 = counts 1 in
+  Alcotest.(check int) "one krylov fallback per sample" 16 k1;
+  Alcotest.(check bool) "the samples degraded" true (d1 >= 16);
+  List.iter
+    (fun domains ->
+      let k, d = counts domains in
+      Alcotest.(check int)
+        (Printf.sprintf "krylov fallbacks at %d lanes" domains) k1 k;
+      Alcotest.(check int)
+        (Printf.sprintf "degradations at %d lanes" domains) d1 d)
+    [ 2; 4 ]
+
 (* ------------------------------------------------- QCheck: schedules *)
 
 (* Random fault schedules over the transient-analysis sites.  The
@@ -389,6 +500,15 @@ let () =
         [
           Alcotest.test_case "budget yields partial population" `Quick
             test_monte_carlo_budget_partial;
+        ] );
+      ( "fallback accounts",
+        [
+          Alcotest.test_case "concurrent runs count their own lane" `Quick
+            test_accounts_are_per_domain;
+          Alcotest.test_case "job output ignores another lane" `Quick
+            test_job_output_ignores_other_lanes;
+          Alcotest.test_case "sample lanes count toward the job" `Quick
+            test_sample_lanes_adopt_account;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_fault_schedules_safe ] );
