@@ -278,7 +278,7 @@ let test_monte_carlo_budget_partial () =
   Alcotest.(check int) "no budget: all samples" 16
     (Array.length r.Monte_carlo.values)
 
-(* ------------------------------------------------ fallback accounts *)
+(* ---------------------------------------------------- lane accounts *)
 
 (* The lanes below hand off through atomics, so each interleaving is
    forced rather than timed. *)
@@ -501,7 +501,7 @@ let () =
           Alcotest.test_case "budget yields partial population" `Quick
             test_monte_carlo_budget_partial;
         ] );
-      ( "fallback accounts",
+      ( "lane accounts",
         [
           Alcotest.test_case "concurrent runs count their own lane" `Quick
             test_accounts_are_per_domain;
