@@ -292,6 +292,68 @@ let test_waveform_measurements () =
   Alcotest.(check bool) "csv header" true
     (String.length csv > 10 && String.sub csv 0 8 = "time,sig")
 
+(* ------------------------------------------------------ exact bit pins *)
+
+(* IEEE-754 bits recorded before Lu and the stamp sinks indexed their
+   float arrays directly: the kernels keep the operation order, so every
+   unknown below must stay identical to the last bit. *)
+
+let check_bits msg expected actual =
+  Alcotest.(check int64) msg expected (Int64.bits_of_float actual)
+
+let check_all_bits msg expected x =
+  Alcotest.(check int) (msg ^ " size") (List.length expected) (Vec.dim x);
+  List.iteri
+    (fun i e -> check_bits (Printf.sprintf "%s x.(%d)" msg i) e x.(i))
+    expected
+
+let deck name = (Spice_elab.load_file ("../decks/" ^ name)).Spice_elab.circuit
+
+let test_bits_dc_sram () =
+  check_all_bits "sram_read"
+    [ 0x3ff3333333333333L; 0x3ff3333333333333L; 0x3ff3333333333333L;
+      0x3ff3333333333333L; 0x3ff32ff9e4a39e76L; 0x3fcf16239ac6e08dL;
+      0xbe7a5baec2568891L; 0xbd751c51ce3718e1L; 0xbf2b8c58b7ff0e06L;
+      0xbd9394904286d45cL ]
+    (Dc.solve (deck "sram_read.sp"))
+
+let test_bits_dc_comparator () =
+  check_all_bits "comparator"
+    [ 0x3ff3333333333333L; 0x0L; 0x3fe6666666666666L; 0xbb18bdc3bdbd3000L;
+      0x3fe6666666666666L; 0x3fe6666666666666L; 0x3fe669ab6ec43d44L;
+      0x3ff3332fb93c5231L; 0x3ff3332fb93c5231L; 0x3ff3333332e3fcdfL;
+      0x3ff3333332e3fcdfL; 0xbe302ef81130e696L; 0x0L; 0xbd8278c7947035c4L;
+      0xbd68a10a1b4047b1L; 0xbd68a10a1b4047b1L ]
+    (Dc.solve (deck "comparator.sp"))
+
+(* one 4 ns clock period (precharge, evaluate, reset) in 80 steps; the
+   trapezoidal rule halves the resistive Jacobian every iteration *)
+let comparator_last_state scheme =
+  let options = { Tran.default_options with Tran.scheme } in
+  let w =
+    Tran.run ~options ~record:false (deck "comparator.sp") ~tstart:0.0
+      ~tstop:4e-9 ~dt:50e-12 ()
+  in
+  w.Waveform.states.(Array.length w.Waveform.states - 1)
+
+let test_bits_tran_be () =
+  check_all_bits "backward euler"
+    [ 0x3ff3333333333333L; 0x0L; 0x3fe6666666666666L; 0xbc4d61b47a5b632dL;
+      0x3fe6666666666666L; 0x3fe6666666666666L; 0x3fdf2f68f3ad5cfdL;
+      0x3ff32f18f3a25301L; 0x3ff32f18f3a25301L; 0x3ff2d8e0396f8a36L;
+      0x3ff2d8e0396f8a36L; 0xbf09c2011a48ed2dL; 0x3eb0ac612a4e7ce1L;
+      0x3e9b46dd50f62180L; 0x3e8b46e0651764fcL; 0x3e8b46e0651764d4L ]
+    (comparator_last_state Tran.Backward_euler)
+
+let test_bits_tran_trap () =
+  check_all_bits "trapezoidal"
+    [ 0x3ff3333333333333L; 0x0L; 0x3fe6666666666666L; 0x3be2239cd47f44faL;
+      0x3fe6666666666666L; 0x3fe6666666666666L; 0x3fdf59df7da11532L;
+      0x3ff32f59b2ee71f0L; 0x3ff32f59b2ee71f0L; 0x3ff2e154eba63c3dL;
+      0x3ff2e154eba63c3dL; 0xbf0765e4dd8a5739L; 0x3eae959b492f75c7L;
+      0x3e995c242674d245L; 0x3e895c273a962b3eL; 0x3e895c273a95fae9L ]
+    (comparator_last_state Tran.Trapezoidal)
+
 let () =
   Alcotest.run "dc_tran"
     [
@@ -320,4 +382,11 @@ let () =
         ] );
       ( "waveform",
         [ Alcotest.test_case "measurements" `Quick test_waveform_measurements ] );
+      ( "bits",
+        [
+          Alcotest.test_case "dc sram_read" `Quick test_bits_dc_sram;
+          Alcotest.test_case "dc comparator" `Quick test_bits_dc_comparator;
+          Alcotest.test_case "tran comparator BE" `Quick test_bits_tran_be;
+          Alcotest.test_case "tran comparator trap" `Quick test_bits_tran_trap;
+        ] );
     ]

@@ -101,6 +101,56 @@ let test_lu_inverse () =
   check_float "inv 00" 1.0 (Mat.get prod 0 0);
   check_float "inv 01" 0.0 (Mat.get prod 0 1)
 
+(* IEEE-754 bits recorded before Lu indexed its storage directly: the
+   kernels keep the operation order, so every value must stay identical
+   to the last bit.  The 12x12 matrix swaps rows at six of its columns. *)
+
+let check_bits msg expected actual =
+  Alcotest.(check int64) msg expected (Int64.bits_of_float actual)
+
+let test_lu_pinned_bits () =
+  let a =
+    Mat.init 12 12 (fun i j ->
+        (Float.of_int (((3 * i * i) + (5 * j * j) + (7 * i * j) + i + (2 * j))
+                       mod 19)
+         /. 8.0)
+        -. 1.0)
+  in
+  let lu = Lu.factorize a in
+  let b = Array.init 12 (fun i -> Float.of_int (i + 1) /. 3.0) in
+  let pin name x expected =
+    List.iteri
+      (fun i e -> check_bits (Printf.sprintf "%s %d" name i) e x.(i))
+      expected
+  in
+  pin "solve" (Lu.solve lu b)
+    [ 0xc00aaaaaaaaaaaacL; 0xbfe5555555555530L; 0xc005555555555561L;
+      0xc01555555555555bL; 0xc00aaaaaaaaaaaa9L; 0xbff5555555555550L;
+      0xc012aaaaaaaaaaa8L; 0x400aaaaaaaaaaabdL; 0xc005555555555569L;
+      0xbff5555555555561L; 0x4018000000000004L; 0x400aaaaaaaaaaaa2L ];
+  pin "solve_transpose" (Lu.solve_transpose lu b)
+    [ 0x3fe861861861862aL; 0xbfe24924924924bcL; 0xc006db6db6db6db6L;
+      0xbfe861861861862aL; 0xbfd8618618618668L; 0xc010c30c30c30c36L;
+      0xc013cf3cf3cf3cf9L; 0x4010000000000007L; 0x4011861861861869L;
+      0x400861861861861cL; 0xbfee79e79e79e7c8L; 0xbff24924924924a1L ]
+
+(* column 2 = column 0 + column 1, so elimination dies at column 2.  A
+   NaN entry makes the singularity scale NaN, which turns the test off:
+   the factorization then runs to the end. *)
+let test_lu_singular_column () =
+  let a =
+    Mat.of_arrays
+      [| [| 1.0; 2.0; 3.0; 4.0 |]; [| 2.0; 1.0; 3.0; 5.0 |];
+         [| 3.0; 5.0; 8.0; 1.0 |]; [| 4.0; 4.0; 8.0; 2.0 |] |]
+  in
+  Alcotest.check_raises "rank-deficient" (Lu.Singular 2) (fun () ->
+      ignore (Lu.factorize a));
+  Mat.set a 3 3 Float.nan;
+  match Lu.factorize a with
+  | _ -> ()
+  | exception Lu.Singular k ->
+    Alcotest.failf "NaN entry: Singular %d, expected no singular test" k
+
 (* ------------------------------------------------------------------ Clu *)
 
 let test_clu_solve () =
@@ -620,6 +670,8 @@ let () =
           Alcotest.test_case "det" `Quick test_lu_det;
           Alcotest.test_case "singular" `Quick test_lu_singular;
           Alcotest.test_case "inverse" `Quick test_lu_inverse;
+          Alcotest.test_case "pinned bits" `Quick test_lu_pinned_bits;
+          Alcotest.test_case "singular column" `Quick test_lu_singular_column;
         ] );
       ( "clu",
         [

@@ -309,6 +309,35 @@ let test_probe_model_matches_sens () =
     (Float.abs (probed.Yield.sigma -. adjoint.Yield.sigma)
      <= 0.05 *. adjoint.Yield.sigma)
 
+(* ------------------------------------------------------ exact bit pin *)
+
+(* The CI yield smoke (varsim yield decks/sram_read.sp -o q --above 0.6
+   -n 4096 --fom 0.3 --scale 0.25), spelled out as Spice_run's .yield
+   path: P_fail's IEEE-754 bits were recorded before Lu and the stamp
+   sinks indexed their float arrays directly, and must not move. *)
+let test_sram_smoke_bits () =
+  let circuit =
+    (Spice_elab.load_file "../decks/sram_read.sp").Spice_elab.circuit
+  in
+  let x_op = Dc.solve circuit in
+  let model =
+    Yield.model_of_sens ~metric:"v(q)"
+      ~nominal:(Circuit.voltage circuit x_op "q")
+      circuit
+      (Sens.sensitivities ~x_op circuit ~output:"q")
+  in
+  let spec = spec_above 0.6 in
+  let shift = Yield.shift_of_model ~scale:0.25 model ~spec in
+  let measure c = Circuit.voltage c (Dc.solve ~x0:x_op c) "q" in
+  let r =
+    Yield.estimate ~seed:42 ~batch:64 ~target_fom:0.3 ~shift ~linear:model
+      ~n:4096 ~spec ~circuit ~measure ()
+  in
+  Alcotest.(check int64) "P_fail bits" 0x3f08771906208793L
+    (Int64.bits_of_float r.Yield.p_fail);
+  Alcotest.(check int) "samples" 704 r.Yield.samples;
+  Alcotest.(check int) "batches" 11 r.Yield.batches
+
 let () =
   Alcotest.run "yield"
     [
@@ -331,7 +360,11 @@ let () =
             test_spice_card_budget_raises;
         ] );
       ( "determinism",
-        [ Alcotest.test_case "domains invariant" `Quick test_domains_invariant ] );
+        [
+          Alcotest.test_case "domains invariant" `Quick test_domains_invariant;
+          Alcotest.test_case "sram smoke P_fail bits" `Quick
+            test_sram_smoke_bits;
+        ] );
       ( "diagnostics",
         [
           Alcotest.test_case "divergence flag" `Quick test_divergence_flag;
