@@ -6,7 +6,14 @@ let row_of_node id = id - 1
 let mosfet_op (m : Device.mosfet_instance) vd vg vs =
   Mosfet.eval m.model ~w:m.w ~l:m.l ~dvt:m.dvt ~dbeta:m.dbeta ~vd ~vg ~vs
 
-let node_voltage x id = if id = 0 then 0.0 else x.(id - 1)
+(* Stamp helpers: same-module and [@inline], so the floats they take
+   and return stay unboxed under -opaque (docs/solver.md §8) *)
+
+(* voltage of node [id]; ground is 0 *)
+let[@inline] volt x id = if id = 0 then 0.0 else x.(id - 1)
+
+(* residual add; ground rows (-1) are dropped *)
+let[@inline] addg g row value = if row >= 0 then g.(row) <- g.(row) +. value
 
 let stamp_c circuit ~add =
   let n = Circuit.num_nodes circuit in
@@ -54,15 +61,29 @@ let c_csr circuit =
   stamp_c circuit ~add:(Coo.add coo);
   Csr.drop_zeros (Coo.to_csr coo)
 
-type jac_sink = {
-  js_clear : unit -> unit;
-  js_add : int -> int -> float -> unit;
-}
+type jac_sink = Dense of Mat.t | Sparse of Csr.t | Pattern of Coo.t
 
-let dense_sink m =
-  { js_clear = (fun () -> Mat.fill m 0.0); js_add = Mat.add_to m }
+let dense_sink m = Dense m
+let csr_sink c = Sparse c
 
-let csr_sink c = { js_clear = (fun () -> Csr.clear c); js_add = Csr.add c }
+let clear_sink = function
+  | Dense m -> Mat.fill m 0.0
+  | Sparse c -> Csr.clear c
+  | Pattern _ -> ()
+
+(* Jacobian add: the sums of Mat.add_to and Csr.add, in the same order;
+   the pattern recorder keeps the position only *)
+let[@inline] addj jac row col value =
+  if row >= 0 && col >= 0 then
+    match jac with
+    | None -> ()
+    | Some (Dense m) ->
+      let a = m.Mat.a and p = (row * m.Mat.c) + col in
+      a.(p) <- a.(p) +. value
+    | Some (Sparse c) ->
+      let v = c.Csr.v and p = Csr.index c row col in
+      v.(p) <- v.(p) +. value
+    | Some (Pattern coo) -> Coo.add coo row col 0.0
 
 (* diode current with exponent limiting to keep Newton finite *)
 let diode_iv is_sat nf v =
@@ -82,142 +103,134 @@ let diode_iv is_sat nf v =
 let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
   let n = Circuit.num_nodes circuit in
   Vec.fill g 0.0;
-  (match jac with Some s -> s.js_clear () | None -> ());
-  let v = node_voltage x in
-  let addg row value = if row >= 0 then g.(row) <- g.(row) +. value in
-  let addj =
-    match jac with
-    | Some s ->
-      fun row col value -> if row >= 0 && col >= 0 then s.js_add row col value
-    | None -> fun _ _ _ -> ()
-  in
+  (match jac with Some s -> clear_sink s | None -> ());
   let branch_row b = n + b in
   Array.iter
     (fun d ->
       match d with
       | Device.Resistor { p; n = nn; r; _ } ->
         let gpn = 1.0 /. r in
-        let i = (v p -. v nn) *. gpn in
+        let i = (volt x p -. volt x nn) *. gpn in
         let rp = row_of_node p and rn = row_of_node nn in
-        addg rp i;
-        addg rn (-.i);
-        addj rp rp gpn;
-        addj rp rn (-.gpn);
-        addj rn rp (-.gpn);
-        addj rn rn gpn
+        addg g rp i;
+        addg g rn (-.i);
+        addj jac rp rp gpn;
+        addj jac rp rn (-.gpn);
+        addj jac rn rp (-.gpn);
+        addj jac rn rn gpn
       | Device.Capacitor _ -> ()
       | Device.Inductor { p; n = nn; branch; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let br = branch_row branch in
         let ib = x.(br) in
-        addg rp ib;
-        addg rn (-.ib);
-        addj rp br 1.0;
-        addj rn br (-1.0);
+        addg g rp ib;
+        addg g rn (-.ib);
+        addj jac rp br 1.0;
+        addj jac rn br (-1.0);
         (* branch row: v_p - v_n - L·di/dt = 0; the -L·di/dt part lives
            in the C matrix *)
-        addg br (v p -. v nn);
-        addj br rp 1.0;
-        addj br rn (-1.0)
+        addg g br (volt x p -. volt x nn);
+        addj jac br rp 1.0;
+        addj jac br rn (-1.0)
       | Device.Vsource { p; n = nn; wave; branch; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let br = branch_row branch in
         let ib = x.(br) in
-        addg rp ib;
-        addg rn (-.ib);
-        addj rp br 1.0;
-        addj rn br (-1.0);
-        addg br (v p -. v nn -. (src_scale *. Wave.eval wave t));
-        addj br rp 1.0;
-        addj br rn (-1.0)
+        addg g rp ib;
+        addg g rn (-.ib);
+        addj jac rp br 1.0;
+        addj jac rn br (-1.0);
+        addg g br (volt x p -. volt x nn -. (src_scale *. Wave.eval wave t));
+        addj jac br rp 1.0;
+        addj jac br rn (-1.0)
       | Device.Isource { p; n = nn; wave; _ } ->
         let i = src_scale *. Wave.eval wave t in
-        addg (row_of_node p) i;
-        addg (row_of_node nn) (-.i)
+        addg g (row_of_node p) i;
+        addg g (row_of_node nn) (-.i)
       | Device.Vcvs { p; n = nn; cp; cn; gain; branch; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let rcp = row_of_node cp and rcn = row_of_node cn in
         let br = branch_row branch in
         let ib = x.(br) in
-        addg rp ib;
-        addg rn (-.ib);
-        addj rp br 1.0;
-        addj rn br (-1.0);
-        addg br (v p -. v nn -. (gain *. (v cp -. v cn)));
-        addj br rp 1.0;
-        addj br rn (-1.0);
-        addj br rcp (-.gain);
-        addj br rcn gain
+        addg g rp ib;
+        addg g rn (-.ib);
+        addj jac rp br 1.0;
+        addj jac rn br (-1.0);
+        addg g br (volt x p -. volt x nn -. (gain *. (volt x cp -. volt x cn)));
+        addj jac br rp 1.0;
+        addj jac br rn (-1.0);
+        addj jac br rcp (-.gain);
+        addj jac br rcn gain
       | Device.Vccs { p; n = nn; cp; cn; gm; _ } ->
-        let i = gm *. (v cp -. v cn) in
+        let i = gm *. (volt x cp -. volt x cn) in
         let rp = row_of_node p and rn = row_of_node nn in
         let rcp = row_of_node cp and rcn = row_of_node cn in
-        addg rp i;
-        addg rn (-.i);
-        addj rp rcp gm;
-        addj rp rcn (-.gm);
-        addj rn rcp (-.gm);
-        addj rn rcn gm
+        addg g rp i;
+        addg g rn (-.i);
+        addj jac rp rcp gm;
+        addj jac rp rcn (-.gm);
+        addj jac rn rcp (-.gm);
+        addj jac rn rcn gm
       | Device.Cccs { p; n = nn; ctrl_branch; gain; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let ctrl_row = branch_row ctrl_branch in
         let i = gain *. x.(ctrl_row) in
-        addg rp i;
-        addg rn (-.i);
-        addj rp ctrl_row gain;
-        addj rn ctrl_row (-.gain)
+        addg g rp i;
+        addg g rn (-.i);
+        addj jac rp ctrl_row gain;
+        addj jac rn ctrl_row (-.gain)
       | Device.Ccvs { p; n = nn; ctrl_branch; r; branch; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let ctrl_row = branch_row ctrl_branch in
         let br = branch_row branch in
         let ib = x.(br) in
-        addg rp ib;
-        addg rn (-.ib);
-        addj rp br 1.0;
-        addj rn br (-1.0);
+        addg g rp ib;
+        addg g rn (-.ib);
+        addj jac rp br 1.0;
+        addj jac rn br (-1.0);
         (* branch equation: v_p - v_n - r·i_ctrl = 0 *)
-        addg br (v p -. v nn -. (r *. x.(ctrl_row)));
-        addj br rp 1.0;
-        addj br rn (-1.0);
-        addj br ctrl_row (-.r)
+        addg g br (volt x p -. volt x nn -. (r *. x.(ctrl_row)));
+        addj jac br rp 1.0;
+        addj jac br rn (-1.0);
+        addj jac br ctrl_row (-.r)
       | Device.Diode { p; n = nn; is_sat; nf; _ } ->
-        let i, gd = diode_iv is_sat nf (v p -. v nn) in
+        let i, gd = diode_iv is_sat nf (volt x p -. volt x nn) in
         let rp = row_of_node p and rn = row_of_node nn in
-        addg rp i;
-        addg rn (-.i);
-        addj rp rp gd;
-        addj rp rn (-.gd);
-        addj rn rp (-.gd);
-        addj rn rn gd
+        addg g rp i;
+        addg g rn (-.i);
+        addj jac rp rp gd;
+        addj jac rp rn (-.gd);
+        addj jac rn rp (-.gd);
+        addj jac rn rn gd
       | Device.Bjt { c; b = nb; e; model; area; dis; _ } ->
-        let op = Bjt.eval model ~area ~dis ~vb:(v nb) ~ve:(v e) in
+        let op = Bjt.eval model ~area ~dis ~vb:(volt x nb) ~ve:(volt x e) in
         let rc = row_of_node c and rb = row_of_node nb and re = row_of_node e in
-        addg rc op.Bjt.ic;
-        addg rb op.Bjt.ib;
-        addg re (-.(op.Bjt.ic +. op.Bjt.ib));
+        addg g rc op.Bjt.ic;
+        addg g rb op.Bjt.ib;
+        addg g re (-.(op.Bjt.ic +. op.Bjt.ib));
         (* currents depend on vbe only (no Early effect) *)
-        addj rc rb op.Bjt.gm;
-        addj rc re (-.op.Bjt.gm);
-        addj rb rb op.Bjt.gpi;
-        addj rb re (-.op.Bjt.gpi);
-        addj re rb (-.(op.Bjt.gm +. op.Bjt.gpi));
-        addj re re (op.Bjt.gm +. op.Bjt.gpi)
+        addj jac rc rb op.Bjt.gm;
+        addj jac rc re (-.op.Bjt.gm);
+        addj jac rb rb op.Bjt.gpi;
+        addj jac rb re (-.op.Bjt.gpi);
+        addj jac re rb (-.(op.Bjt.gm +. op.Bjt.gpi));
+        addj jac re re (op.Bjt.gm +. op.Bjt.gpi)
       | Device.Mosfet { d = nd; g = ng; s = ns; inst; _ } ->
-        let op = mosfet_op inst (v nd) (v ng) (v ns) in
+        let op = mosfet_op inst (volt x nd) (volt x ng) (volt x ns) in
         let rd = row_of_node nd and rg = row_of_node ng and rs = row_of_node ns in
-        addg rd op.Mosfet.id;
-        addg rs (-.op.Mosfet.id);
-        addj rd rd op.Mosfet.gd;
-        addj rd rg op.Mosfet.gg;
-        addj rd rs op.Mosfet.gs;
-        addj rs rd (-.op.Mosfet.gd);
-        addj rs rg (-.op.Mosfet.gg);
-        addj rs rs (-.op.Mosfet.gs))
+        addg g rd op.Mosfet.id;
+        addg g rs (-.op.Mosfet.id);
+        addj jac rd rd op.Mosfet.gd;
+        addj jac rd rg op.Mosfet.gg;
+        addj jac rd rs op.Mosfet.gs;
+        addj jac rs rd (-.op.Mosfet.gd);
+        addj jac rs rg (-.op.Mosfet.gg);
+        addj jac rs rs (-.op.Mosfet.gs))
     (Circuit.devices circuit);
   if gmin > 0.0 then
     for row = 0 to n - 1 do
       g.(row) <- g.(row) +. (gmin *. x.(row));
-      addj row row gmin
+      addj jac row row gmin
     done
 
 (* The MNA pattern is fixed by topology: every [addj]/[stamp_c] call
@@ -230,13 +243,7 @@ let pattern circuit =
   let coo = Coo.create ~capacity:(16 * Stdlib.max size 1) size size in
   let x = Array.make size 0.0 in
   let g = Array.make size 0.0 in
-  let sink =
-    {
-      js_clear = (fun () -> ());
-      js_add = (fun row col _ -> Coo.add coo row col 0.0);
-    }
-  in
-  eval circuit ~t:0.0 ~x ~g ~jac:(Some sink) ();
+  eval circuit ~t:0.0 ~x ~g ~jac:(Some (Pattern coo)) ();
   stamp_c circuit ~add:(fun row col _ -> Coo.add coo row col 0.0);
   for row = 0 to size - 1 do
     Coo.add coo row row 0.0
@@ -244,7 +251,7 @@ let pattern circuit =
   Coo.to_csr coo
 
 let injection circuit (p : Circuit.mismatch_param) ~x ?xdot () =
-  let v = node_voltage x in
+  let v = volt x in
   let entries pairs =
     List.filter_map
       (fun (node, value) ->
@@ -289,7 +296,7 @@ type noise_source = {
 }
 
 let noise_sources circuit ~x ?(temp = 300.0) () =
-  let v = node_voltage x in
+  let v = volt x in
   let kt4 = 4.0 *. boltzmann *. temp in
   let entries pairs =
     List.filter_map

@@ -18,16 +18,23 @@ val stamp_c : Circuit.t -> add:(int -> int -> float -> unit) -> unit
     dense or sparse storage from the same traversal ({!c_matrix} is
     [stamp_c] into a fresh [Mat.t]). *)
 
-(** Where Jacobian stamps go.  The dense sink writes into a [Mat.t]
-    exactly as the historical code did (bit-identical); the sparse sink
-    accumulates into a fixed {!Csr.t} pattern from {!pattern}. *)
-type jac_sink = {
-  js_clear : unit -> unit;
-  js_add : int -> int -> float -> unit;
-}
+(** Where Jacobian stamps go: a dense [Mat.t], a {!Csr.t} over the
+    fixed {!pattern}, or (inside {!pattern}) the structure recorder.
+    {!eval} clears the sink, then adds each stamp into it with the sum
+    [Mat.add_to] or [Csr.add] computes, in stamp order, so both sinks
+    hold the same bits as stamping through those functions.  The adds
+    index the float arrays in this module: a float passed to a
+    closure or to another module would be boxed under [-opaque]
+    (docs/solver.md §8). *)
+type jac_sink
 
 val dense_sink : Mat.t -> jac_sink
+(** Stamps accumulate into the matrix, row-major. *)
+
 val csr_sink : Csr.t -> jac_sink
+(** Stamps accumulate into the pattern's values, one {!Csr.index}
+    lookup per stamp; a position outside the pattern raises
+    [Not_found]. *)
 
 val pattern : Circuit.t -> Csr.t
 (** The structural union of the Jacobian, the C matrix, and the full

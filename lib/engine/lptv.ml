@@ -152,11 +152,10 @@ let build ?solver ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
               ~jac:(Some (Stamp.dense_sink jac))
               ();
             let mk = Cmat.create n n in
-            for r = 0 to n - 1 do
-              for c = 0 to n - 1 do
-                mk.re.((r * n) + c) <- Mat.get jac r c +. Mat.get c_over_h r c;
-                mk.im.((r * n) + c) <- omega *. Mat.get c_mat r c
-              done
+            let ja = jac.Mat.a and ch = c_over_h.Mat.a and ca = c_mat.Mat.a in
+            for p = 0 to (n * n) - 1 do
+              mk.re.(p) <- ja.(p) +. ch.(p);
+              mk.im.(p) <- omega *. ca.(p)
             done;
             Obs.count "lptv.fact.dense" 1;
             Clu.factorize mk)

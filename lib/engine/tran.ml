@@ -47,10 +47,9 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
        (* halve the resistive Jacobian too *)
        (match sys.Linsys.repr with
         | Linsys.Rdense jac ->
-          for i = 0 to n - 1 do
-            for j = 0 to n - 1 do
-              Mat.set jac i j (0.5 *. Mat.get jac i j)
-            done
+          let a = jac.Mat.a in
+          for p = 0 to Array.length a - 1 do
+            a.(p) <- 0.5 *. a.(p)
           done
         | Linsys.Rsparse { pat; _ } ->
           let v = pat.Csr.v in
@@ -59,15 +58,18 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
           done)
      | _, Backward_euler | None, Trapezoidal -> ());
     List.iter (fun (row, value) -> g.(row) <- g.(row) +. value) forcing;
-    (* add C·(x - x_prev)/h and C/h *)
+    (* add C·(x - x_prev)/h and C/h, indexing the float arrays directly
+       (docs/solver.md §8) *)
     match sys.Linsys.repr, c_mat with
     | Linsys.Rdense jac, Linsys.Mdense cm ->
       let dx = Vec.sub x x_prev in
       let cdx = Mat.mul_vec cm dx in
+      let ja = jac.Mat.a and ca = cm.Mat.a in
       for i = 0 to n - 1 do
         g.(i) <- g.(i) +. (cdx.(i) /. h);
         for j = 0 to n - 1 do
-          Mat.add_to jac i j (Mat.get cm i j /. h)
+          let p = (i * n) + j in
+          ja.(p) <- ja.(p) +. (ca.(p) /. h)
         done
       done
     | Linsys.Rsparse { pat; _ }, Linsys.Msparse cm ->
@@ -77,9 +79,11 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
         g.(i) <- g.(i) +. (cdx.(i) /. h)
       done;
       let rp = cm.Csr.rp and ci = cm.Csr.ci and v = cm.Csr.v in
+      let pv = pat.Csr.v in
       for i = 0 to Csr.rows cm - 1 do
         for p = rp.(i) to rp.(i + 1) - 1 do
-          Csr.add pat i ci.(p) (v.(p) /. h)
+          let q = Csr.index pat i ci.(p) in
+          pv.(q) <- pv.(q) +. (v.(p) /. h)
         done
       done
     | _ -> invalid_arg "Tran.step: c_mat representation mismatch"

@@ -1,6 +1,10 @@
+(* Row-major storage indexed directly: under -opaque a cross-module
+   Mat.get/Mat.set boxes its float (docs/solver.md §8).  The operations
+   and their order are those of the former Mat-accessor code. *)
+
 type t = {
   n : int;
-  lu : Mat.t; (* packed L (unit diagonal) and U *)
+  lu : float array; (* packed L (unit diagonal) and U, row-major n×n *)
   perm : int array; (* row permutation: row i of PA is row perm.(i) of A *)
   sign : float;
 }
@@ -10,44 +14,53 @@ exception Singular of int
 let factorize m =
   let n = Mat.rows m in
   if Mat.cols m <> n then invalid_arg "Lu.factorize: matrix not square";
-  let scale = Mat.max_abs m in
-  let tol = 1e-13 *. Float.max scale 1e-300 in
-  let lu = Mat.copy m in
+  let a = Array.copy m.Mat.a in
+  (* Mat.max_abs's fold as a loop: Float.max keeps a NaN, so a NaN entry
+     still makes [tol] NaN and turns the singular test off *)
+  let scale = ref 0.0 in
+  for p = 0 to Array.length a - 1 do
+    scale := Float.max !scale (Float.abs a.(p))
+  done;
+  let tol = 1e-13 *. Float.max !scale 1e-300 in
   let perm = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* partial pivoting: find the largest entry in column k at/below row k *)
     let piv = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !piv k) then
+      if Float.abs a.((i * n) + k) > Float.abs a.((!piv * n) + k) then
         piv := i
     done;
     if !piv <> k then begin
       for j = 0 to n - 1 do
-        let t = Mat.get lu k j in
-        Mat.set lu k j (Mat.get lu !piv j);
-        Mat.set lu !piv j t
+        let p = (k * n) + j and q = (!piv * n) + j in
+        let t = a.(p) in
+        a.(p) <- a.(q);
+        a.(q) <- t
       done;
       let t = perm.(k) in
       perm.(k) <- perm.(!piv);
       perm.(!piv) <- t;
       sign := -. !sign
     end;
-    let pivot = Mat.get lu k k in
+    let pivot = a.((k * n) + k) in
     if Float.abs pivot < tol then raise (Singular k);
     (* indices below stay in [0, n) by construction, so the elimination
        inner loops can skip bounds checks *)
     for i = k + 1 to n - 1 do
-      let f = Mat.unsafe_get lu i k /. pivot in
-      Mat.unsafe_set lu i k f;
+      let ik = (i * n) + k in
+      let f = Array.unsafe_get a ik /. pivot in
+      Array.unsafe_set a ik f;
       if f <> 0.0 then
         for j = k + 1 to n - 1 do
-          Mat.unsafe_set lu i j
-            (Mat.unsafe_get lu i j -. (f *. Mat.unsafe_get lu k j))
+          let ij = (i * n) + j in
+          Array.unsafe_set a ij
+            (Array.unsafe_get a ij
+             -. (f *. Array.unsafe_get a ((k * n) + j)))
         done
     done
   done;
-  { n; lu; perm; sign = !sign }
+  { n; lu = a; perm; sign = !sign }
 
 let dim t = t.n
 
@@ -55,25 +68,27 @@ let solve_into t b x =
   if Array.length b <> t.n || Array.length x <> t.n then
     invalid_arg "Lu.solve_into: dimension mismatch";
   if x == b then invalid_arg "Lu.solve_into: output aliases input";
-  let n = t.n in
+  let n = t.n and lu = t.lu in
   for i = 0 to n - 1 do
     x.(i) <- b.(t.perm.(i))
   done;
   (* forward substitution with unit-diagonal L *)
   for i = 1 to n - 1 do
+    let row = i * n in
     let s = ref (Array.unsafe_get x i) in
     for j = 0 to i - 1 do
-      s := !s -. (Mat.unsafe_get t.lu i j *. Array.unsafe_get x j)
+      s := !s -. (Array.unsafe_get lu (row + j) *. Array.unsafe_get x j)
     done;
     Array.unsafe_set x i !s
   done;
   (* back substitution with U *)
   for i = n - 1 downto 0 do
+    let row = i * n in
     let s = ref (Array.unsafe_get x i) in
     for j = i + 1 to n - 1 do
-      s := !s -. (Mat.unsafe_get t.lu i j *. Array.unsafe_get x j)
+      s := !s -. (Array.unsafe_get lu (row + j) *. Array.unsafe_get x j)
     done;
-    Array.unsafe_set x i (!s /. Mat.unsafe_get t.lu i i)
+    Array.unsafe_set x i (!s /. Array.unsafe_get lu (row + i))
   done
 
 let solve t b =
@@ -94,20 +109,20 @@ let solve_transpose_into t ~scratch b x =
   then invalid_arg "Lu.solve_transpose_into: dimension mismatch";
   if x == scratch || x == b then
     invalid_arg "Lu.solve_transpose_into: output aliases an input";
-  let n = t.n in
+  let n = t.n and lu = t.lu in
   if scratch != b then Array.blit b 0 scratch 0 n;
   let y = scratch in
   for i = 0 to n - 1 do
     let s = ref (Array.unsafe_get y i) in
     for j = 0 to i - 1 do
-      s := !s -. (Mat.unsafe_get t.lu j i *. Array.unsafe_get y j)
+      s := !s -. (Array.unsafe_get lu ((j * n) + i) *. Array.unsafe_get y j)
     done;
-    Array.unsafe_set y i (!s /. Mat.unsafe_get t.lu i i)
+    Array.unsafe_set y i (!s /. Array.unsafe_get lu ((i * n) + i))
   done;
   for i = n - 1 downto 0 do
     let s = ref (Array.unsafe_get y i) in
     for j = i + 1 to n - 1 do
-      s := !s -. (Mat.unsafe_get t.lu j i *. Array.unsafe_get y j)
+      s := !s -. (Array.unsafe_get lu ((j * n) + i) *. Array.unsafe_get y j)
     done;
     Array.unsafe_set y i !s
   done;
@@ -135,7 +150,7 @@ let solve_mat t b =
 let det t =
   let d = ref t.sign in
   for i = 0 to t.n - 1 do
-    d := !d *. Mat.get t.lu i i
+    d := !d *. t.lu.((i * t.n) + i)
   done;
   !d
 

@@ -36,8 +36,6 @@ let rows m = m.r
 let cols m = m.c
 let get m i j = m.a.((i * m.c) + j)
 let set m i j v = m.a.((i * m.c) + j) <- v
-let unsafe_get m i j = Array.unsafe_get m.a ((i * m.c) + j)
-let unsafe_set m i j v = Array.unsafe_set m.a ((i * m.c) + j) v
 let add_to m i j v = m.a.((i * m.c) + j) <- m.a.((i * m.c) + j) +. v
 let copy m = { m with a = Array.copy m.a }
 let fill m v = Array.fill m.a 0 (m.r * m.c) v

@@ -1,9 +1,12 @@
-(** Dense row-major matrices of floats.
+(** Dense row-major matrices of floats: entry (i, j) is [a.(i*c + j)].
 
     Sized for circuit-simulation workloads (tens to a few hundred
-    unknowns), so the implementation favours clarity over blocking. *)
+    unknowns), so the implementation favours clarity over blocking.
+    Kernels on the Newton path ({!Lu}, the stamp sinks, the transient
+    step) index [a] directly: under [-opaque] every {!get}/{!set} boxes
+    its float (docs/solver.md §8). *)
 
-type t
+type t = private { r : int; c : int; a : float array }
 
 val create : int -> int -> t
 (** [create r c] is the zero matrix with [r] rows and [c] columns. *)
@@ -22,12 +25,6 @@ val cols : t -> int
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
-
-val unsafe_get : t -> int -> int -> float
-(** {!get} without bounds checks — only for inner loops whose indices
-    are in range by construction. *)
-
-val unsafe_set : t -> int -> int -> float -> unit
 
 val add_to : t -> int -> int -> float -> unit
 (** [add_to m i j v] performs [m.(i).(j) <- m.(i).(j) + v]. *)

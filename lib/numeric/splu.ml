@@ -17,11 +17,15 @@ exception Singular = Csplu.Singular
 let dim t = t.plan.n
 let nnz_lu t = Array.length t.ux + Array.length t.lx + Array.length t.dx
 
+(* the fold's Float.max as a loop, so no value is boxed; a NaN value
+   still makes the tolerance NaN *)
 let default_tol (csr : Csr.t) =
-  let scale =
-    Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0.0 csr.Csr.v
-  in
-  1e-13 *. Float.max scale 1e-300
+  let v = csr.Csr.v in
+  let scale = ref 0.0 in
+  for p = 0 to Array.length v - 1 do
+    scale := Float.max !scale (Float.abs v.(p))
+  done;
+  1e-13 *. Float.max !scale 1e-300
 
 let plan (csr : Csr.t) = Csplu.plan csr (Cvec.of_real csr.Csr.v)
 

@@ -316,6 +316,60 @@ let test_complex_kernels_allocation_free () =
       ("Cvec.blit", fun () -> Cvec.blit b x);
     ]
 
+(* The same -opaque rule holds for the real kernels on the Newton path:
+   Lu and the stamp sinks index their float arrays directly, so the
+   solves allocate nothing, a factorization allocates its own storage
+   and no more, and stamping allocates no word per device. *)
+let test_real_kernels_allocation () =
+  let rng = Rng.create 36 in
+  let n = 40 in
+  let a = random_matrix rng n in
+  for i = 0 to n - 1 do
+    Mat.add_to a i i 4.0
+  done;
+  let lu = Lu.factorize a in
+  let b = Rng.gaussian_vector rng n in
+  let x = Vec.create n and scratch = Vec.create n in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.0)) (name ^ ": minor words per call") 0.0
+        (minor_words_per_call f))
+    [
+      ("Lu.solve_into", fun () -> Lu.solve_into lu b x);
+      ( "Lu.solve_transpose_into",
+        fun () -> Lu.solve_transpose_into lu ~scratch b x );
+    ];
+  (* the packed factor (n² floats), the permutation, the boxed sign and
+     the record: n² + 2n + 16 words bounds them at n = 10 *)
+  let n = 10 in
+  let a = random_matrix rng n in
+  for i = 0 to n - 1 do
+    Mat.add_to a i i 4.0
+  done;
+  let words = minor_words_per_call (fun () -> ignore (Lu.factorize a)) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Lu.factorize at n = 10: %.0f words <= %d" words
+       ((n * n) + (2 * n) + 16))
+    true
+    (words <= float_of_int ((n * n) + (2 * n) + 16))
+
+let test_stamp_allocation () =
+  let stamp_words codes =
+    let c =
+      Dac_string.testbench
+        ~params:{ Dac_string.default_params with Dac_string.codes } ()
+    in
+    let size = Circuit.size c in
+    let x = Array.init size (fun i -> 0.001 *. float_of_int i) in
+    let g = Vec.create size in
+    let jac = Some (Stamp.csr_sink (Stamp.pattern c)) in
+    minor_words_per_call (fun () -> Stamp.eval c ~t:1e-7 ~x ~g ~jac ())
+  in
+  let w64 = stamp_words 64 and w512 = stamp_words 512 in
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "Stamp.eval words per call, 512 codes (64 codes: %.0f)" w64)
+    w64 w512
+
 (* ------------------------------------------------------------- Cholesky *)
 
 let test_cholesky () =
@@ -686,6 +740,9 @@ let () =
           Alcotest.test_case "cvec inplace" `Quick test_cvec_inplace;
           Alcotest.test_case "complex kernels allocation-free" `Quick
             test_complex_kernels_allocation_free;
+          Alcotest.test_case "real kernels allocation" `Quick
+            test_real_kernels_allocation;
+          Alcotest.test_case "stamp allocation" `Quick test_stamp_allocation;
         ] );
       ( "cholesky",
         [
