@@ -1,6 +1,6 @@
 (* Row-major storage indexed directly: under -opaque a cross-module
-   Mat.get/Mat.set boxes its float (docs/solver.md §8).  The operations
-   and their order are those of the former Mat-accessor code. *)
+   Mat.get/Mat.set boxes its float (docs/solver.md §8).  The bit pins in
+   test/test_numeric.ml hold the operation order. *)
 
 type t = {
   n : int;
@@ -14,14 +14,9 @@ exception Singular of int
 let factorize m =
   let n = Mat.rows m in
   if Mat.cols m <> n then invalid_arg "Lu.factorize: matrix not square";
+  let scale = Mat.max_abs m in
+  let tol = 1e-13 *. Float.max scale 1e-300 in
   let a = Array.copy m.Mat.a in
-  (* Mat.max_abs's fold as a loop: Float.max keeps a NaN, so a NaN entry
-     still makes [tol] NaN and turns the singular test off *)
-  let scale = ref 0.0 in
-  for p = 0 to Array.length a - 1 do
-    scale := Float.max !scale (Float.abs a.(p))
-  done;
-  let tol = 1e-13 *. Float.max !scale 1e-300 in
   let perm = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do

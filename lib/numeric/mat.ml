@@ -140,8 +140,14 @@ let norm_inf m =
 let frobenius m =
   sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 m.a)
 
+(* a loop, not a fold, so no entry is boxed; Float.max keeps a NaN, so a
+   NaN entry turns Lu's singular test off *)
 let max_abs m =
-  Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0.0 m.a
+  let s = ref 0.0 in
+  for p = 0 to Array.length m.a - 1 do
+    s := Float.max !s (Float.abs m.a.(p))
+  done;
+  !s
 
 let pp ppf m =
   Format.fprintf ppf "@[<v>";

@@ -17,8 +17,8 @@ exception Singular = Csplu.Singular
 let dim t = t.plan.n
 let nnz_lu t = Array.length t.ux + Array.length t.lx + Array.length t.dx
 
-(* the fold's Float.max as a loop, so no value is boxed; a NaN value
-   still makes the tolerance NaN *)
+(* a loop, not a fold, so no value is boxed; Float.max keeps a NaN, so
+   a NaN value makes the tolerance NaN and turns the singular test off *)
 let default_tol (csr : Csr.t) =
   let v = csr.Csr.v in
   let scale = ref 0.0 in
