@@ -71,8 +71,9 @@ let clear_sink = function
   | Sparse c -> Csr.clear c
   | Pattern _ -> ()
 
-(* Jacobian add: the sums of Mat.add_to and Csr.add, in the same order;
-   the pattern recorder keeps the position only *)
+(* Jacobian add: [value] summed into the entry's float in stamp order
+   (the dense sum is Mat.add_to's; the CSR entry is found by
+   Csr.index); the pattern recorder keeps the position only *)
 let[@inline] addj jac row col value =
   if row >= 0 && col >= 0 then
     match jac with

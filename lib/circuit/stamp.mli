@@ -20,12 +20,12 @@ val stamp_c : Circuit.t -> add:(int -> int -> float -> unit) -> unit
 
 (** Where Jacobian stamps go: a dense [Mat.t], a {!Csr.t} over the
     fixed {!pattern}, or (inside {!pattern}) the structure recorder.
-    {!eval} clears the sink, then adds each stamp into it with the sum
-    [Mat.add_to] or [Csr.add] computes, in stamp order, so both sinks
-    hold the same bits as stamping through those functions.  The adds
-    index the float arrays in this module: a float passed to a
-    closure or to another module would be boxed under [-opaque]
-    (docs/solver.md §8). *)
+    {!eval} clears the sink, then sums each stamp into its entry in
+    stamp order — the sum [Mat.add_to] computes, at the position
+    {!Csr.index} finds on the CSR sink — so the dense and the CSR sink
+    hold the same bits.  The adds index the float arrays in this
+    module: a float passed to a closure or to another module would be
+    boxed under [-opaque] (docs/solver.md §8). *)
 type jac_sink
 
 val dense_sink : Mat.t -> jac_sink

@@ -33,10 +33,6 @@ let get t i j = match index t i j with
   | p -> t.v.(p)
   | exception Not_found -> 0.0
 
-let add t i j x =
-  let p = index t i j in
-  t.v.(p) <- t.v.(p) +. x
-let add_at t p x = t.v.(p) <- t.v.(p) +. x
 let clear t = Array.fill t.v 0 (Array.length t.v) 0.0
 let copy t = { t with v = Array.copy t.v }
 

@@ -32,15 +32,6 @@ val index : t -> int -> int -> int
 (** Position of (i, j) in the value array.  Raises [Not_found] when the
     position is outside the pattern. *)
 
-val add : t -> int -> int -> float -> unit
-(** [add t i j x] accumulates [x] into the stored value at (i, j) (one
-    binary search).
-    Raises [Not_found] outside the pattern — a pattern-stable stamping
-    discipline never does this. *)
-
-val add_at : t -> int -> float -> unit
-(** [add_at t pos x] accumulates into position [pos] (from {!index}). *)
-
 val clear : t -> unit
 (** Zero all values, keeping the pattern. *)
 
