@@ -59,8 +59,19 @@ let deck_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"DECK"
          ~doc:"SPICE-style netlist file")
 
+(* a lane count below 1 is a usage error (exit 2), not an engine crash *)
+let lanes_conv =
+  Arg.conv
+    ~docv:"N"
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | Some _ | None ->
+          Error (`Msg "expected a lane count (an integer >= 1)")),
+      Format.pp_print_int )
+
 let domains_arg =
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N"
+  Arg.(value & opt lanes_conv 1 & info [ "domains" ] ~docv:"N"
          ~doc:"Sample lanes (OCaml domains) for the Monte Carlo ($(b,.mc)) \
                and yield samples; results are bit-identical for any \
                value, and every other analysis runs on one domain")
@@ -543,7 +554,7 @@ let sweep_cmd =
                    cheap direct-DC analyses, processes otherwise)")
   in
   let jobs_arg =
-    Arg.(value & opt int (Domain_pool.default_lanes ())
+    Arg.(value & opt int (Domain.recommended_domain_count ())
          & info [ "j"; "jobs" ] ~docv:"N"
              ~doc:"Concurrent workers / pool lanes (default: one per core)")
   in

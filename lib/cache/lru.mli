@@ -1,7 +1,7 @@
 (** Bounded in-memory LRU map with string keys.
 
     Thread-safe (one mutex per cache); safe to share across
-    {!Domain_pool} lanes and serve worker domains.  Every lookup counts
+    {!Lanes} lanes and serve worker domains.  Every lookup counts
     into [cache.<name>.hits] / [cache.<name>.misses] and every eviction
     into [cache.<name>.evictions], so cache behavior is visible through
     [--metrics] with zero extra plumbing (docs/serving.md). *)

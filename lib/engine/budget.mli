@@ -4,10 +4,11 @@
     [Pnoise], [Monte_carlo], [Analysis]) accepts an optional budget.
     The engines call {!check}/{!tick} at their natural loop points
     (Newton iterations, transient steps, shooting iterations, LPTV
-    steps and PNOISE sources, pool-job claims), so a stuck deck stops
+    steps and PNOISE sources, lane claims), so a stuck deck stops
     within one loop body of the deadline and surfaces a structured
-    {!Timed_out} instead of hanging the job.  {!Domain_pool} lanes observe the same budget through
-    {!stop_opt}: expiry stops every lane from claiming further work.
+    {!Timed_out} instead of hanging the job.  {!Lanes.run} lanes
+    observe the same budget through {!stop_opt}: expiry stops every
+    lane from claiming further work.
 
     A budget is safe to share across domains (the mutable state is
     atomic); checks cost one clock read and a few loads, and a run with
@@ -64,4 +65,4 @@ val tick_opt : ?n:int -> t option -> unit
 
 val stop_opt : t option -> (unit -> bool) option
 (** [Some (fun () -> expired b)] — the [?should_stop] argument for
-    {!Domain_pool.parallel_for}. *)
+    {!Lanes.run}. *)

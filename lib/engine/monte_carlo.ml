@@ -55,13 +55,11 @@ let run ?(seed = 42) ?(domains = 1) ?(first = 0) ?transform ?weight ?stop
   in
   (* sample lanes count their fallbacks toward the caller's job *)
   let account = Linsys.account () in
-  Domain_pool.with_pool domains (fun pool ->
-      Domain_pool.parallel_for pool n ~label:"monte_carlo.sample" ?should_stop
-        (fun i ->
-          Linsys.adopt_account account;
-          results.(i) <-
-            run_sample ~seed ~first ~transform ~weight ~params ~circuit
-              ~measure i));
+  Lanes.run ~spawn:Lanes.domain ~lanes:domains ~label:"monte_carlo.sample"
+    ?should_stop n (fun i ->
+      Linsys.adopt_account account;
+      results.(i) <-
+        run_sample ~seed ~first ~transform ~weight ~params ~circuit ~measure i);
   let timed_out =
     match budget with Some b -> Budget.expired b | None -> false
   in

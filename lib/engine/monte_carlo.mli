@@ -30,8 +30,10 @@ val run :
   n:int -> circuit:Circuit.t -> measure:(Circuit.t -> float array) -> unit ->
   result
 (** [measure] may raise; such samples are dropped (counted in
-    [failed]).  [domains] > 1 runs samples in parallel (the measurement
-    function must not mutate shared state); every sample lane adopts
+    [failed]).  [domains] (default 1, at least 1) sizes the sample lanes
+    ({!Lanes.run} on domains); above 1 samples run in parallel (the
+    measurement function must not mutate shared state); every sample
+    lane adopts
     the caller's {!Linsys.account}, so the samples' solver fallbacks
     count toward the calling job at any lane count.  [transform] maps the raw
     i.i.d. standard-normal-scaled deviation vector before application —

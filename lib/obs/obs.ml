@@ -27,6 +27,8 @@ type ctx = {
   cid : int; (* Domain id, for trace track assignment *)
   croot : node; (* synthetic per-domain container *)
   mutable cstack : (node * float) list; (* open spans: node, start time *)
+  mutable cprogress : (string -> [ `Begin | `End of float ] -> unit) option;
+      (* this domain's phase callback *)
 }
 
 (* ------------------------------------------------------------ global state *)
@@ -63,27 +65,18 @@ let push_event ev = if Atomic.get timeline_on then events := ev :: !events
 let tracks : (int, string) Hashtbl.t = Hashtbl.create 8
 let extern_ids : (string, int) Hashtbl.t = Hashtbl.create 8
 
-let progress : (string -> [ `Begin | `End of float ] -> unit) option Atomic.t =
-  Atomic.make None
-
-let set_progress f = Atomic.set progress f
-
-let progress_all :
-    (int -> string -> [ `Begin | `End of float ] -> unit) option Atomic.t =
-  Atomic.make None
-
-let set_progress_all f = Atomic.set progress_all f
-
 let ctx_key =
   Domain.DLS.new_key (fun () ->
       let c =
         { cid = (Domain.self () :> int); croot = new_node "(session)";
-          cstack = [] }
+          cstack = []; cprogress = None }
       in
       Mutex.lock mu;
       ctxs := c :: !ctxs;
       Mutex.unlock mu;
       c)
+
+let set_progress f = (Domain.DLS.get ctx_key).cprogress <- f
 
 let clear_ctx c =
   c.cstack <- [];
@@ -147,11 +140,8 @@ let span_begin name =
     in
     let node = find_or_add parent name in
     c.cstack <- (node, now ()) :: c.cstack;
-    (match Atomic.get progress with
-     | Some f when is_owner c && depth < progress_depth -> f name `Begin
-     | _ -> ());
-    match Atomic.get progress_all with
-    | Some f when depth < progress_depth -> f c.cid name `Begin
+    match c.cprogress with
+    | Some f when depth < progress_depth -> f name `Begin
     | _ -> ()
   end
 
@@ -183,14 +173,9 @@ let span_end name =
       node.ncalls <- node.ncalls + 1;
       node.nwall <- node.nwall +. dt;
       emit_span_event c node.nname ~ts ~dur:dt;
-      (match Atomic.get progress with
-       | Some f when is_owner c && List.length rest < progress_depth ->
-         f node.nname (`End dt)
-       | _ -> ());
-      (match Atomic.get progress_all with
-       | Some f when List.length rest < progress_depth ->
-         f c.cid node.nname (`End dt)
-       | _ -> ())
+      match c.cprogress with
+      | Some f when List.length rest < progress_depth -> f node.nname (`End dt)
+      | _ -> ()
   end
 
 let span name f =
@@ -367,7 +352,7 @@ let extern_slice ~tid ~name ~ts_abs ~dur_s =
 let lane_tid lane = 100 + lane
 
 (* hot-path counter names are preallocated so an enabled run does not
-   build a fresh string per pool chunk *)
+   build a fresh string per lane *)
 let lane_counter_names =
   Array.init 64 (fun k -> Printf.sprintf "pool.lane%d.items" k)
 

@@ -15,8 +15,8 @@
       record, so results are bit-identical with telemetry on or off.
     - Spans are per-domain (via [Domain.DLS]); counters, gauges,
       histograms and trace events are global and lock-protected, and
-      the enabled flag is an atomic, so recording from {!Domain_pool}
-      worker lanes (or any spawned domain) is race-free.
+      the enabled flag is an atomic, so recording from {!Lanes} lanes
+      (or any spawned domain or thread) is race-free.
 
     Naming convention: dotted lowercase ["subsystem.what"], e.g.
     ["newton.iterations"], ["serve.request.seconds"],
@@ -111,16 +111,17 @@ val quantile : string -> float -> float option
 (** [quantile name q] — the [q]-quantile estimate of histogram [name];
     [None] when the histogram does not exist or is empty. *)
 
-(** {1 Domain-pool lane hooks} *)
+(** {1 Lane hooks} *)
 
 val announce_lanes : int -> unit
 (** Register trace tracks ["lane 0"] .. ["lane n-1"] eagerly, so every
-    pool lane has a track even when a run is too small for a lane to
-    claim any work.  Called by [Domain_pool.create]. *)
+    lane has a track even when a run is too small for a lane to claim
+    any work.  Called by [Lanes.run]. *)
 
 val lane_slice : lane:int -> name:string -> t0:float -> t1:float -> unit
 (** Record a trace slice on the per-lane track ["lane <k>"] — one per
-    lane per pool job, so lane imbalance is visible in the trace. *)
+    lane per {!Lanes.run} call, so lane imbalance is visible in the
+    trace. *)
 
 val lane_items : lane:int -> int -> unit
 (** Add to the per-lane work counter ["pool.lane<k>.items"]. *)
@@ -177,16 +178,13 @@ val gc_gauges : unit -> unit
 (** {1 Progress reporting} *)
 
 val set_progress : (string -> [ `Begin | `End of float ] -> unit) option -> unit
-(** Install a live phase callback, invoked on begin/end of spans at
-    nesting depth <= 2 on the owner domain ([`End] carries the span's
-    wall seconds).  [None] uninstalls. *)
-
-val set_progress_all :
-  (int -> string -> [ `Begin | `End of float ] -> unit) option -> unit
-(** Like {!set_progress} but fires on {e every} domain, passing the
-    recording domain's id first — for services (varsim serve) whose
-    analysis work runs on non-owner lanes.  Independent of
-    {!set_progress}; both may be installed. *)
+(** Install a live phase callback on the calling domain, invoked on
+    begin/end of that domain's spans at nesting depth <= 2 ([`End]
+    carries the span's wall seconds); [None] uninstalls.  Each domain
+    has its own hook, so the CLI installs one on its main domain and a
+    serve lane installs its job's for the duration of the job; spans on
+    other domains (Monte Carlo sample lanes, other jobs) never reach
+    it. *)
 
 (** {1 Snapshots and export} *)
 
@@ -215,10 +213,9 @@ val metrics_json : unit -> string
 
 val trace_json : unit -> string
 (** Chrome trace-event JSON (load in [chrome://tracing] or Perfetto):
-    one ["X"] event per completed span / pool-lane job slice / external
-    slice, with thread-name metadata naming track 0 ["main"], each pool
-    lane ["lane <k>"] and each external source by its registered
-    name. *)
+    one ["X"] event per completed span / lane slice / external slice,
+    with thread-name metadata naming track 0 ["main"], each lane
+    ["lane <k>"] and each external source by its registered name. *)
 
 val prometheus : unit -> string
 (** Prometheus text exposition (version 0.0.4) of every counter

@@ -17,8 +17,8 @@
 
    The main thread owns accept+read+parse (a select loop, so a single
    thread multiplexes every connection); lanes own compute+respond
-   (per-connection write mutex).  Domain_pool is deliberately not used
-   here — its jobs are fixed index ranges, not an open-ended request
+   (per-connection write mutex).  Lanes.run is deliberately not used
+   here — it fans out a fixed index range, not an open-ended request
    queue. *)
 
 type config = {
@@ -264,44 +264,21 @@ let parse_request line =
     | op -> Error ("unknown op " ^ op))
 
 (* ------------------------------------------------------------------ *)
-(* progress events: one global Obs callback fans out to whichever job
-   the firing domain is currently running *)
-
-let progress_m = Mutex.create ()
-let progress_tbl : (int, conn * job) Hashtbl.t = Hashtbl.create 8
-
-let domain_key () = (Domain.self () :> int)
-
-let progress_callback did name ev =
-  let target =
-    Mutex.lock progress_m;
-    let r = Hashtbl.find_opt progress_tbl did in
-    Mutex.unlock progress_m;
-    r
-  in
-  match target with
-  | None -> ()
-  | Some (conn, job) ->
-    let line =
-      match ev with
-      | `Begin -> event_line job ~phase:name ~state:"begin" ()
-      | `End dt -> event_line job ~phase:name ~state:"end" ~elapsed_s:dt ()
-    in
-    write_line conn line
+(* progress events: the lane installs the job's callback on its own
+   domain for the length of the job, so only this job's spans reach it *)
 
 let with_progress conn job f =
   if not job.events then f ()
   else begin
-    let key = domain_key () in
-    Mutex.lock progress_m;
-    Hashtbl.replace progress_tbl key (conn, job);
-    Mutex.unlock progress_m;
-    Fun.protect
-      ~finally:(fun () ->
-        Mutex.lock progress_m;
-        Hashtbl.remove progress_tbl key;
-        Mutex.unlock progress_m)
-      f
+    Obs.set_progress
+      (Some
+         (fun name ev ->
+           write_line conn
+             (match ev with
+              | `Begin -> event_line job ~phase:name ~state:"begin" ()
+              | `End dt ->
+                event_line job ~phase:name ~state:"end" ~elapsed_s:dt ())));
+    Fun.protect ~finally:(fun () -> Obs.set_progress None) f
   end
 
 (* ------------------------------------------------------------------ *)
@@ -548,7 +525,6 @@ let run cfg =
   (* counters (cache hit/miss, serve.jobs) must tick even when no
      --metrics file was requested: the stats op reads them live *)
   Obs.enable ~timeline:cfg.trace ();
-  Obs.set_progress_all (Some progress_callback);
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   let stop _ = Atomic.set stop_requested true in
@@ -640,7 +616,6 @@ let run cfg =
   (match st.log with
    | Some l -> ( try Unix.close l.lfd with Unix.Unix_error _ -> ())
    | None -> ());
-  Obs.set_progress_all None;
   Sys.set_signal Sys.sigterm old_term;
   Sys.set_signal Sys.sigint old_int;
   Printf.eprintf "varsim serve: drained, bye\n%!"

@@ -20,13 +20,45 @@ type point = { id : int; assigns : (string * float) list }
 
 let engine_axis_names = [ "steps"; "period" ]
 
+(* one name -> setter table per built-in cell: the parser validates axis
+   names against it and the worker applies a point's assignment through
+   it, so no sweepable name can parse and then not take effect *)
+let mirror_params =
+  [ ("i_ref", fun p v -> { p with Current_mirror.i_ref = v });
+    ("w", fun p v -> { p with Current_mirror.w = v });
+    ("l", fun p v -> { p with Current_mirror.l = v });
+    ("r_load", fun p v -> { p with Current_mirror.r_load = v });
+    ("vdd", fun p v -> { p with Current_mirror.vdd = v }) ]
+
+let comparator_params =
+  [ ("vdd", fun p v -> { p with Strongarm.vdd = v });
+    ("vcm", fun p v -> { p with Strongarm.vcm = v });
+    ("w_in", fun p v -> { p with Strongarm.w_in = v });
+    ("w_tail", fun p v -> { p with Strongarm.w_tail = v });
+    ("w_cross_n", fun p v -> { p with Strongarm.w_cross_n = v });
+    ("w_cross_p", fun p v -> { p with Strongarm.w_cross_p = v });
+    ("w_pre", fun p v -> { p with Strongarm.w_pre = v });
+    ("w_pre_int", fun p v -> { p with Strongarm.w_pre_int = v });
+    ("w_eq", fun p v -> { p with Strongarm.w_eq = v });
+    ("l", fun p v -> { p with Strongarm.l = v });
+    ("c_out", fun p v -> { p with Strongarm.c_out = v });
+    ("clk_period", fun p v -> { p with Strongarm.clk_period = v });
+    ("clk_transition", fun p v -> { p with Strongarm.clk_transition = v });
+    ("gm_fb", fun p v -> { p with Strongarm.gm_fb = v });
+    ("c_fb", fun p v -> { p with Strongarm.c_fb = v }) ]
+
+let ringosc_params =
+  [ ("vdd", fun p v -> { p with Ring_osc.vdd = v });
+    ("wn", fun p v -> { p with Ring_osc.wn = v });
+    ("wp", fun p v -> { p with Ring_osc.wp = v });
+    ("l", fun p v -> { p with Ring_osc.l = v });
+    ("c_stage", fun p v -> { p with Ring_osc.c_stage = v });
+    ("mismatch_scale", fun p v -> { p with Ring_osc.mismatch_scale = v }) ]
+
 let cell_param_names = function
-  | "mirror" -> [ "i_ref"; "w"; "l"; "r_load"; "vdd" ]
-  | "comparator" ->
-    [ "vdd"; "vcm"; "w_in"; "w_tail"; "w_cross_n"; "w_cross_p"; "w_pre";
-      "w_pre_int"; "w_eq"; "l"; "c_out"; "clk_period"; "clk_transition";
-      "gm_fb"; "c_fb" ]
-  | "ringosc" -> [ "vdd"; "wn"; "wp"; "l"; "c_stage"; "mismatch_scale" ]
+  | "mirror" -> List.map fst mirror_params
+  | "comparator" -> List.map fst comparator_params
+  | "ringosc" -> List.map fst ringosc_params
   | c -> invalid_arg ("Sweep_spec.cell_param_names: unknown cell " ^ c)
 
 let known_cells = [ "mirror"; "comparator"; "ringosc" ]

@@ -87,9 +87,21 @@ val point_hash : t -> point -> string
     still recognize journaled points.  Journals written by an older
     scheme are treated as cold (docs/robustness.md). *)
 
+val mirror_params :
+  (string * (Current_mirror.params -> float -> Current_mirror.params)) list
+
+val comparator_params :
+  (string * (Strongarm.params -> float -> Strongarm.params)) list
+
+val ringosc_params :
+  (string * (Ring_osc.params -> float -> Ring_osc.params)) list
+(** One name → setter table per built-in cell, the only list of its
+    sweepable parameters: {!parse} validates axis names against it and
+    the worker applies a point's assignment through it. *)
+
 val cell_param_names : string -> string list
-(** Sweepable parameter names of a built-in cell ([invalid_arg] on an
-    unknown cell). *)
+(** Sweepable parameter names of a built-in cell, in its table's order
+    ([invalid_arg] on an unknown cell). *)
 
 val engine_axis_names : string list
 (** [["steps"; "period"]] — axes honored by every target. *)

@@ -454,45 +454,30 @@ let attempt_domain st cache point hash () =
 (* ------------------------------------------------------------------ *)
 (* lanes *)
 
-(* [jobs] lanes each claim the next pending point and settle it.
-   Process lanes are systhreads: each only blocks on its own child, a
-   thread costs far less memory than a domain, and they never open Obs
-   spans (threads share the domain's span stack; counters and merges
-   are mutex-guarded).  Domain lanes compute in-process on a
-   Domain_pool and share one engine-state cache, created here so no two
-   lanes race to build it. *)
+(* Process lanes are systhreads: each only blocks on its own child, a
+   thread costs far less memory than a domain (docs/parallelism.md), a
+   process holds at most 128 domains while --jobs may ask for more
+   lanes, and they never open Obs spans (threads share the domain's
+   span stack; counters, merges and lane slices are mutex-guarded). *)
+let thread f =
+  let t = Thread.create f () in
+  fun () -> Thread.join t
+
+(* [jobs] lanes each claim the next pending point and settle it.  The
+   isolation picks only the attempt and the spawner: domain lanes
+   compute in-process and share one engine-state cache, created here so
+   no two lanes race to build it. *)
 let run_lanes st isolation =
-  let n = Array.length st.points in
-  match isolation with
-  | Domains ->
-    let cache = Result.to_option (Cache.create ()) in
-    Domain_pool.with_pool st.conf.jobs (fun pool ->
-        Domain_pool.parallel_for pool ~label:"sweep.point"
-          ?should_stop:(Budget.stop_opt st.conf.budget) n (fun i ->
-            settle st (attempt_domain st cache st.points.(i) st.hashes.(i))))
-  | Process | Auto_iso ->
-    let next = Atomic.make 0 and failure = Atomic.make None in
-    let rec lane () =
-      if not (expired st) then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          settle st (attempt_process st st.points.(i) st.hashes.(i));
-          lane ()
-        end
-      end
-    in
-    (* as in Domain_pool: a lane that raises stops claiming, and the
-       first exception is re-raised once the other lanes have drained *)
-    let guarded () =
-      try lane ()
-      with e -> ignore (Atomic.compare_and_set failure None (Some e))
-    in
-    let others =
-      List.init (min st.conf.jobs n - 1) (fun _ -> Thread.create guarded ())
-    in
-    guarded ();
-    List.iter Thread.join others;
-    Option.iter raise (Atomic.get failure)
+  let attempt, spawn =
+    match isolation with
+    | Domains ->
+      let cache = Result.to_option (Cache.create ()) in
+      (attempt_domain st cache, Lanes.domain)
+    | Process | Auto_iso -> (attempt_process st, thread)
+  in
+  Lanes.run ~spawn ~lanes:st.conf.jobs ~label:"sweep.point"
+    ?should_stop:(Budget.stop_opt st.conf.budget) (Array.length st.points)
+    (fun i -> settle st (attempt st.points.(i) st.hashes.(i)))
 
 (* ------------------------------------------------------------------ *)
 (* the run driver *)

@@ -11,7 +11,9 @@
     (the hidden [varsim worker] mode, result returned as one JSON line
     over a pipe) whose lane enforces the per-point wall deadline by
     SIGTERM-then-SIGKILL; domain isolation computes cheap points
-    in-process on {!Domain_pool} lanes.  Every completed point is
+    in-process.  Both isolations run their lanes through one
+    {!Lanes.run} call: process lanes are systhreads that wait on their
+    child, domain lanes are domains.  Every completed point is
     appended (fsynced) to [<prefix>.journal] before it counts, so
     [kill -9] of the parent at any instant loses at most the points in
     flight; a re-run with [resume = true] skips journaled points and
@@ -20,7 +22,7 @@
 
 type isolation =
   | Process  (** fork/exec of the own binary per point *)
-  | Domains  (** in-process {!Domain_pool} lanes (no crash isolation) *)
+  | Domains  (** in-process domain lanes (no crash isolation) *)
   | Auto_iso  (** [Domains] for direct DC analyses, [Process] otherwise *)
 
 val isolation_of_string : string -> isolation option
@@ -30,7 +32,7 @@ type config = {
   spec_path : string;  (** the spec file workers re-read *)
   out_prefix : string;  (** artifacts: [<prefix>.csv], [.json], [.journal] *)
   isolation : isolation;
-  jobs : int;  (** concurrent workers / pool lanes *)
+  jobs : int;  (** concurrent lanes, at least 1 *)
   resume : bool;  (** skip points already in the journal *)
   budget : Budget.t option;  (** global budget; expiry yields a partial run *)
   progress : bool;  (** per-point progress lines on stderr *)

@@ -20,61 +20,14 @@ let knobs_of (spec : Sweep_spec.t) point =
        | None -> spec.Sweep_spec.period);
   }
 
-let mirror_params point =
-  let p = ref Current_mirror.default_params in
-  List.iter
-    (fun (name, v) ->
-      let q = !p in
-      match name with
-      | "i_ref" -> p := { q with Current_mirror.i_ref = v }
-      | "w" -> p := { q with Current_mirror.w = v }
-      | "l" -> p := { q with Current_mirror.l = v }
-      | "r_load" -> p := { q with Current_mirror.r_load = v }
-      | "vdd" -> p := { q with Current_mirror.vdd = v }
-      | _ -> ())
-    point.Sweep_spec.assigns;
-  !p
-
-let comparator_params point =
-  let p = ref Strongarm.default_params in
-  List.iter
-    (fun (name, v) ->
-      let q = !p in
-      match name with
-      | "vdd" -> p := { q with Strongarm.vdd = v }
-      | "vcm" -> p := { q with Strongarm.vcm = v }
-      | "w_in" -> p := { q with Strongarm.w_in = v }
-      | "w_tail" -> p := { q with Strongarm.w_tail = v }
-      | "w_cross_n" -> p := { q with Strongarm.w_cross_n = v }
-      | "w_cross_p" -> p := { q with Strongarm.w_cross_p = v }
-      | "w_pre" -> p := { q with Strongarm.w_pre = v }
-      | "w_pre_int" -> p := { q with Strongarm.w_pre_int = v }
-      | "w_eq" -> p := { q with Strongarm.w_eq = v }
-      | "l" -> p := { q with Strongarm.l = v }
-      | "c_out" -> p := { q with Strongarm.c_out = v }
-      | "clk_period" -> p := { q with Strongarm.clk_period = v }
-      | "clk_transition" -> p := { q with Strongarm.clk_transition = v }
-      | "gm_fb" -> p := { q with Strongarm.gm_fb = v }
-      | "c_fb" -> p := { q with Strongarm.c_fb = v }
-      | _ -> ())
-    point.Sweep_spec.assigns;
-  !p
-
-let ringosc_params point =
-  let p = ref Ring_osc.default_params in
-  List.iter
-    (fun (name, v) ->
-      let q = !p in
-      match name with
-      | "vdd" -> p := { q with Ring_osc.vdd = v }
-      | "wn" -> p := { q with Ring_osc.wn = v }
-      | "wp" -> p := { q with Ring_osc.wp = v }
-      | "l" -> p := { q with Ring_osc.l = v }
-      | "c_stage" -> p := { q with Ring_osc.c_stage = v }
-      | "mismatch_scale" -> p := { q with Ring_osc.mismatch_scale = v }
-      | _ -> ())
-    point.Sweep_spec.assigns;
-  !p
+(* a built-in cell's parameters at a point: its defaults with each
+   assignment its table names applied in axis order (engine axes are in
+   no cell's table) *)
+let cell_params table defaults point =
+  List.fold_left
+    (fun p (name, v) ->
+      match List.assoc_opt name table with Some set -> set p v | None -> p)
+    defaults point.Sweep_spec.assigns
 
 (* ------------------------------------------------------------------ *)
 (* the point body *)
@@ -87,9 +40,15 @@ let compute ?cache (spec : Sweep_spec.t) point ~policy ~budget =
       let deck = Spice_elab.load_file path in
       (deck.Spice_elab.circuit, k.period, None)
     | Sweep_spec.Cell "mirror" ->
-      (Current_mirror.build ~params:(mirror_params point) (), k.period, None)
+      let p =
+        cell_params Sweep_spec.mirror_params Current_mirror.default_params
+          point
+      in
+      (Current_mirror.build ~params:p (), k.period, None)
     | Sweep_spec.Cell "comparator" ->
-      let p = comparator_params point in
+      let p =
+        cell_params Sweep_spec.comparator_params Strongarm.default_params point
+      in
       let period =
         (* a swept clk_period is the PSS fundamental unless the spec
            pinned an explicit period *)
@@ -100,7 +59,9 @@ let compute ?cache (spec : Sweep_spec.t) point ~policy ~budget =
       in
       (Strongarm.testbench ~params:p (), period, None)
     | Sweep_spec.Cell "ringosc" ->
-      let p = ringosc_params point in
+      let p =
+        cell_params Sweep_spec.ringosc_params Ring_osc.default_params point
+      in
       (Ring_osc.build ~params:p (), k.period, Some (Ring_osc.f_guess p))
     | Sweep_spec.Cell c -> invalid_arg ("Sweep_worker: unknown cell " ^ c)
   in

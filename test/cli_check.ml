@@ -14,8 +14,10 @@
    - an unknown VARSIM_FAULTS site name, or an unknown option, fails
      fast with exit 2;
    - a .mc card spreads its samples over --domains lanes with output
-     byte-identical to one lane, and only run and yield take
-     --domains.
+     byte-identical to one lane, only run and yield take --domains,
+     and a lane count below 1 is a usage error;
+   - --progress prints the main domain's phases, never a sample
+     lane's.
 
    Everything runs in a private temp dir with self-written decks and
    specs, so the driver has no data dependencies. *)
@@ -39,21 +41,29 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
 
-(* run the binary, capture status + stdout; stderr goes to our own
-   (visible in the dune log on failure) *)
-let run ?(faults = "") args =
+(* run the binary, capture status + stdout; stderr goes to the file
+   [stderr] when given, else to our own (visible in the dune log on
+   failure) *)
+let run ?(faults = "") ?stderr args =
   let out = Filename.temp_file "varsim_cli" ".out" in
   let env =
     Array.append (Unix.environment ())
       (if faults = "" then [||] else [| "VARSIM_FAULTS=" ^ faults |])
   in
   let fd = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let efd =
+    match stderr with
+    | Some path ->
+      Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    | None -> Unix.stderr
+  in
   let pid =
     Unix.create_process_env varsim
       (Array.of_list (varsim :: args))
-      env Unix.stdin fd Unix.stderr
+      env Unix.stdin fd efd
   in
   Unix.close fd;
+  if stderr <> None then Unix.close efd;
   let _, status = Unix.waitpid [] pid in
   let text = read_file out in
   Sys.remove out;
@@ -190,6 +200,36 @@ let () =
   let trace = read_file "mc.trace.json" in
   check ".mc trace has two lane tracks"
     (contains trace "\"lane 0\"" && contains trace "\"lane 1\"");
+
+  (* --progress reports the top-level phases of the main domain only:
+     the .mc card shows, and no sample lane's solve does (enough
+     samples that the second lane is sure to claim some) *)
+  write_file "mc_progress.sp"
+    (String.concat "\n"
+       [ "mirror monte carlo"; "VDD vdd 0 1.2"; "IREF vdd nref 100u";
+         "M1 nref nref 0 0 nmos013 w=4u l=0.5u";
+         "M2 out nref 0 0 nmos013 w=4u l=0.5u"; "RL vdd out 2k";
+         ".mc n=2000 seed=7"; ".end"; "" ]);
+  let code, _ =
+    run ~stderr:"progress.err"
+      [ "run"; "mc_progress.sp"; "--domains"; "2"; "--progress" ]
+  in
+  let progress = read_file "progress.err" in
+  check ".mc --progress exits 0" (code = 0);
+  check "--progress names the .mc card"
+    (contains progress "varsim: spice.monte_carlo ...");
+  check "--progress shows no sample lane's solve"
+    (not (contains progress "dc.solve"));
+
+  (* a lane count below 1 is a usage error, rejected before any output *)
+  List.iter
+    (fun args ->
+      let code, out = run (args @ [ "--domains"; "0" ]) in
+      check
+        (Printf.sprintf "%s --domains 0 exits 2 with no output" (List.hd args))
+        (code = 2 && out = ""))
+    [ [ "run"; "mc.sp" ];
+      [ "yield"; "mirror.sp"; "-o"; "out"; "--above"; "0.6" ] ];
 
   (* ------------------------------------------------------------- *)
   (* sweep smoke: process isolation, then resume reuses the journal *)

@@ -318,9 +318,9 @@ let test_job_output_ignores_other_lanes () =
      after both the job's and the run's counts were sampled: the job
      waits there until the other lane has noted its fallback *)
   Obs.enable ();
-  Obs.set_progress_all
+  Obs.set_progress
     (Some
-       (fun _ name phase ->
+       (fun name phase ->
          match phase with
          | `Begin
            when name <> "job.submit"
@@ -331,7 +331,7 @@ let test_job_output_ignores_other_lanes () =
   let out =
     Fun.protect
       ~finally:(fun () ->
-        Obs.set_progress_all None;
+        Obs.set_progress None;
         Obs.disable ();
         Obs.reset ())
       (fun () ->

@@ -82,6 +82,30 @@ let test_expand_empty () =
   Alcotest.(check int) "one nominal point" 1 (Array.length pts);
   Alcotest.(check bool) "no assigns" true (pts.(0).Sweep_spec.assigns = [])
 
+(* every name in a cell's table moves a field of its own: applied to
+   the defaults, no setter is a no-op and no two setters agree *)
+let distinct_setters cell defaults table =
+  let moved = List.map (fun (name, set) -> (name, set defaults 12345.0)) table in
+  List.iteri
+    (fun i (a, p) ->
+      Alcotest.(check bool) (cell ^ " " ^ a ^ " moves") false (p = defaults);
+      List.iteri
+        (fun j (b, q) ->
+          if j > i then
+            Alcotest.(check bool) (Printf.sprintf "%s %s vs %s" cell a b)
+              false (p = q))
+        moved)
+    moved;
+  Alcotest.(check (list string)) (cell ^ " names") (List.map fst table)
+    (Sweep_spec.cell_param_names cell)
+
+let test_cell_tables () =
+  distinct_setters "mirror" Current_mirror.default_params
+    Sweep_spec.mirror_params;
+  distinct_setters "comparator" Strongarm.default_params
+    Sweep_spec.comparator_params;
+  distinct_setters "ringosc" Ring_osc.default_params Sweep_spec.ringosc_params
+
 (* ----------------------------------------------------------- hashes *)
 
 let test_point_hash () =
@@ -583,6 +607,7 @@ let () =
           Alcotest.test_case "row-major expansion" `Quick
             test_expand_row_major;
           Alcotest.test_case "empty grid" `Quick test_expand_empty;
+          Alcotest.test_case "cell tables" `Quick test_cell_tables;
           Alcotest.test_case "point hash" `Quick test_point_hash;
           Alcotest.test_case "deck-content hash" `Quick
             test_point_hash_deck_content;
