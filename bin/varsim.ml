@@ -550,13 +550,13 @@ let sweep_cmd =
          & info [ "isolation" ] ~docv:"ISO"
              ~doc:"Point isolation: $(b,process) (supervised worker \
                    processes, full crash isolation), $(b,domain) \
-                   (in-process pool lanes) or $(b,auto) (domains for the \
+                   (in-process domain lanes) or $(b,auto) (domains for the \
                    cheap direct-DC analyses, processes otherwise)")
   in
   let jobs_arg =
     Arg.(value & opt int (Domain.recommended_domain_count ())
          & info [ "j"; "jobs" ] ~docv:"N"
-             ~doc:"Concurrent workers / pool lanes (default: one per core)")
+             ~doc:"Concurrent point lanes (default: one per core)")
   in
   let resume_arg =
     Arg.(value & flag & info [ "resume" ]

@@ -454,11 +454,12 @@ let attempt_domain st cache point hash () =
 (* ------------------------------------------------------------------ *)
 (* lanes *)
 
-(* Process lanes are systhreads: each only blocks on its own child, a
-   thread costs far less memory than a domain (docs/parallelism.md), a
-   process holds at most 128 domains while --jobs may ask for more
-   lanes, and they never open Obs spans (threads share the domain's
-   span stack; counters, merges and lane slices are mutex-guarded). *)
+(* Process lanes are systhreads: each only blocks on its own child, so
+   it needs no domain.  Domain lanes raised the sweep's peak RSS, and a
+   process holds at most 128 domains while --jobs may ask for more lanes
+   (docs/parallelism.md).  These lanes open no Obs spans (threads share
+   the domain's span stack); counters, merges and lane slices are
+   mutex-guarded. *)
 let thread f =
   let t = Thread.create f () in
   fun () -> Thread.join t
