@@ -24,21 +24,19 @@ let run ~spawn ~lanes ?(label = "pool.job") ?(should_stop = no_stop) n body =
      claimed-index count, which is how lane imbalance becomes visible
      (docs/observability.md). *)
   let lane k () =
-    let live = ref true and items = ref 0 in
+    let items = ref 0 in
     let t0 = if Obs.enabled () then Obs.now () else 0.0 in
-    while !live do
-      if should_stop () then live := false
-      else
+    let rec claim () =
+      if not (should_stop ()) then begin
         let i = Atomic.fetch_and_add next 1 in
-        if i >= n then live := false
-        else begin
+        if i < n then begin
           incr items;
-          try body i
-          with e ->
-            fail e;
-            live := false
+          body i;
+          claim ()
         end
-    done;
+      end
+    in
+    (try claim () with e -> fail e);
     if Obs.enabled () && !items > 0 then begin
       Obs.lane_slice ~lane:k ~name:label ~t0 ~t1:(Obs.now ());
       Obs.lane_items ~lane:k !items
