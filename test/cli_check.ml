@@ -173,7 +173,7 @@ let () =
 
   (* a .mc card runs its samples on --domains lanes: the trace names
      both lane tracks, and the output matches a one-lane run byte for
-     byte *)
+     byte (enough samples that the second lane is sure to claim some) *)
   write_file "mc.sp"
     "mirror monte carlo
 \
@@ -187,7 +187,7 @@ let () =
 \
      RL vdd out 2k
 \
-     .mc n=64 seed=7
+     .mc n=2000 seed=7
 \
      .end
 ";
@@ -202,17 +202,10 @@ let () =
     (contains trace "\"lane 0\"" && contains trace "\"lane 1\"");
 
   (* --progress reports the top-level phases of the main domain only:
-     the .mc card shows, and no sample lane's solve does (enough
-     samples that the second lane is sure to claim some) *)
-  write_file "mc_progress.sp"
-    (String.concat "\n"
-       [ "mirror monte carlo"; "VDD vdd 0 1.2"; "IREF vdd nref 100u";
-         "M1 nref nref 0 0 nmos013 w=4u l=0.5u";
-         "M2 out nref 0 0 nmos013 w=4u l=0.5u"; "RL vdd out 2k";
-         ".mc n=2000 seed=7"; ".end"; "" ]);
+     the .mc card shows, and no sample lane's solve does *)
   let code, _ =
     run ~stderr:"progress.err"
-      [ "run"; "mc_progress.sp"; "--domains"; "2"; "--progress" ]
+      [ "run"; "mc.sp"; "--domains"; "2"; "--progress" ]
   in
   let progress = read_file "progress.err" in
   check ".mc --progress exits 0" (code = 0);
