@@ -61,30 +61,40 @@ let c_csr circuit =
   stamp_c circuit ~add:(Coo.add coo);
   Csr.drop_zeros (Coo.to_csr coo)
 
-type jac_sink = Dense of Mat.t | Sparse of Csr.t | Pattern of Coo.t
+(* The CSR sink adds through [slots]: the position in [csr]'s values
+   of every off-ground Jacobian add, in stamp order, recorded once by
+   [csr_sink].  The order is static — every add fires at any x — except
+   the gmin tail, its last [tail] slots.  The recorder keeps each add
+   as a triplet. *)
+type jac_sink =
+  | Dense of Mat.t
+  | Sparse of { csr : Csr.t; slots : int array; tail : int }
+  | Triplets of Coo.t
 
 let dense_sink m = Dense m
-let csr_sink c = Sparse c
+let coo_sink coo = Triplets coo
 
 let clear_sink = function
   | Dense m -> Mat.fill m 0.0
-  | Sparse c -> Csr.clear c
-  | Pattern _ -> ()
+  | Sparse { csr; _ } -> Csr.clear csr
+  | Triplets _ -> ()
 
 (* Jacobian add: [value] summed into the entry's float in stamp order
-   (the dense sum is Mat.add_to's; the CSR entry is found by
-   Csr.index); the pattern recorder keeps the position only *)
-let[@inline] addj jac row col value =
+   (the dense sum is Mat.add_to's; the CSR entry is the next recorded
+   slot, [cur] counting the adds of this eval) *)
+let[@inline] addj jac cur row col value =
   if row >= 0 && col >= 0 then
     match jac with
     | None -> ()
     | Some (Dense m) ->
       let a = m.Mat.a and p = (row * m.Mat.c) + col in
       a.(p) <- a.(p) +. value
-    | Some (Sparse c) ->
-      let v = c.Csr.v and p = Csr.index c row col in
+    | Some (Sparse { csr; slots; _ }) ->
+      let k = !cur in
+      cur := k + 1;
+      let v = csr.Csr.v and p = slots.(k) in
       v.(p) <- v.(p) +. value
-    | Some (Pattern coo) -> Coo.add coo row col 0.0
+    | Some (Triplets coo) -> Coo.add coo row col value
 
 (* diode current with exponent limiting to keep Newton finite *)
 let diode_iv is_sat nf v =
@@ -105,6 +115,7 @@ let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
   let n = Circuit.num_nodes circuit in
   Vec.fill g 0.0;
   (match jac with Some s -> clear_sink s | None -> ());
+  let cur = ref 0 in
   let branch_row b = n + b in
   Array.iter
     (fun d ->
@@ -115,10 +126,10 @@ let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
         let rp = row_of_node p and rn = row_of_node nn in
         addg g rp i;
         addg g rn (-.i);
-        addj jac rp rp gpn;
-        addj jac rp rn (-.gpn);
-        addj jac rn rp (-.gpn);
-        addj jac rn rn gpn
+        addj jac cur rp rp gpn;
+        addj jac cur rp rn (-.gpn);
+        addj jac cur rn rp (-.gpn);
+        addj jac cur rn rn gpn
       | Device.Capacitor _ -> ()
       | Device.Inductor { p; n = nn; branch; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
@@ -126,24 +137,24 @@ let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
         let ib = x.(br) in
         addg g rp ib;
         addg g rn (-.ib);
-        addj jac rp br 1.0;
-        addj jac rn br (-1.0);
+        addj jac cur rp br 1.0;
+        addj jac cur rn br (-1.0);
         (* branch row: v_p - v_n - L·di/dt = 0; the -L·di/dt part lives
            in the C matrix *)
         addg g br (volt x p -. volt x nn);
-        addj jac br rp 1.0;
-        addj jac br rn (-1.0)
+        addj jac cur br rp 1.0;
+        addj jac cur br rn (-1.0)
       | Device.Vsource { p; n = nn; wave; branch; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let br = branch_row branch in
         let ib = x.(br) in
         addg g rp ib;
         addg g rn (-.ib);
-        addj jac rp br 1.0;
-        addj jac rn br (-1.0);
+        addj jac cur rp br 1.0;
+        addj jac cur rn br (-1.0);
         addg g br (volt x p -. volt x nn -. (src_scale *. Wave.eval wave t));
-        addj jac br rp 1.0;
-        addj jac br rn (-1.0)
+        addj jac cur br rp 1.0;
+        addj jac cur br rn (-1.0)
       | Device.Isource { p; n = nn; wave; _ } ->
         let i = src_scale *. Wave.eval wave t in
         addg g (row_of_node p) i;
@@ -155,31 +166,31 @@ let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
         let ib = x.(br) in
         addg g rp ib;
         addg g rn (-.ib);
-        addj jac rp br 1.0;
-        addj jac rn br (-1.0);
+        addj jac cur rp br 1.0;
+        addj jac cur rn br (-1.0);
         addg g br (volt x p -. volt x nn -. (gain *. (volt x cp -. volt x cn)));
-        addj jac br rp 1.0;
-        addj jac br rn (-1.0);
-        addj jac br rcp (-.gain);
-        addj jac br rcn gain
+        addj jac cur br rp 1.0;
+        addj jac cur br rn (-1.0);
+        addj jac cur br rcp (-.gain);
+        addj jac cur br rcn gain
       | Device.Vccs { p; n = nn; cp; cn; gm; _ } ->
         let i = gm *. (volt x cp -. volt x cn) in
         let rp = row_of_node p and rn = row_of_node nn in
         let rcp = row_of_node cp and rcn = row_of_node cn in
         addg g rp i;
         addg g rn (-.i);
-        addj jac rp rcp gm;
-        addj jac rp rcn (-.gm);
-        addj jac rn rcp (-.gm);
-        addj jac rn rcn gm
+        addj jac cur rp rcp gm;
+        addj jac cur rp rcn (-.gm);
+        addj jac cur rn rcp (-.gm);
+        addj jac cur rn rcn gm
       | Device.Cccs { p; n = nn; ctrl_branch; gain; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let ctrl_row = branch_row ctrl_branch in
         let i = gain *. x.(ctrl_row) in
         addg g rp i;
         addg g rn (-.i);
-        addj jac rp ctrl_row gain;
-        addj jac rn ctrl_row (-.gain)
+        addj jac cur rp ctrl_row gain;
+        addj jac cur rn ctrl_row (-.gain)
       | Device.Ccvs { p; n = nn; ctrl_branch; r; branch; _ } ->
         let rp = row_of_node p and rn = row_of_node nn in
         let ctrl_row = branch_row ctrl_branch in
@@ -187,22 +198,22 @@ let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
         let ib = x.(br) in
         addg g rp ib;
         addg g rn (-.ib);
-        addj jac rp br 1.0;
-        addj jac rn br (-1.0);
+        addj jac cur rp br 1.0;
+        addj jac cur rn br (-1.0);
         (* branch equation: v_p - v_n - r·i_ctrl = 0 *)
         addg g br (volt x p -. volt x nn -. (r *. x.(ctrl_row)));
-        addj jac br rp 1.0;
-        addj jac br rn (-1.0);
-        addj jac br ctrl_row (-.r)
+        addj jac cur br rp 1.0;
+        addj jac cur br rn (-1.0);
+        addj jac cur br ctrl_row (-.r)
       | Device.Diode { p; n = nn; is_sat; nf; _ } ->
         let i, gd = diode_iv is_sat nf (volt x p -. volt x nn) in
         let rp = row_of_node p and rn = row_of_node nn in
         addg g rp i;
         addg g rn (-.i);
-        addj jac rp rp gd;
-        addj jac rp rn (-.gd);
-        addj jac rn rp (-.gd);
-        addj jac rn rn gd
+        addj jac cur rp rp gd;
+        addj jac cur rp rn (-.gd);
+        addj jac cur rn rp (-.gd);
+        addj jac cur rn rn gd
       | Device.Bjt { c; b = nb; e; model; area; dis; _ } ->
         let op = Bjt.eval model ~area ~dis ~vb:(volt x nb) ~ve:(volt x e) in
         let rc = row_of_node c and rb = row_of_node nb and re = row_of_node e in
@@ -210,29 +221,48 @@ let eval circuit ~t ?(gmin = 0.0) ?(src_scale = 1.0) ~x ~g ~jac () =
         addg g rb op.Bjt.ib;
         addg g re (-.(op.Bjt.ic +. op.Bjt.ib));
         (* currents depend on vbe only (no Early effect) *)
-        addj jac rc rb op.Bjt.gm;
-        addj jac rc re (-.op.Bjt.gm);
-        addj jac rb rb op.Bjt.gpi;
-        addj jac rb re (-.op.Bjt.gpi);
-        addj jac re rb (-.(op.Bjt.gm +. op.Bjt.gpi));
-        addj jac re re (op.Bjt.gm +. op.Bjt.gpi)
+        addj jac cur rc rb op.Bjt.gm;
+        addj jac cur rc re (-.op.Bjt.gm);
+        addj jac cur rb rb op.Bjt.gpi;
+        addj jac cur rb re (-.op.Bjt.gpi);
+        addj jac cur re rb (-.(op.Bjt.gm +. op.Bjt.gpi));
+        addj jac cur re re (op.Bjt.gm +. op.Bjt.gpi)
       | Device.Mosfet { d = nd; g = ng; s = ns; inst; _ } ->
         let op = mosfet_op inst (volt x nd) (volt x ng) (volt x ns) in
         let rd = row_of_node nd and rg = row_of_node ng and rs = row_of_node ns in
         addg g rd op.Mosfet.id;
         addg g rs (-.op.Mosfet.id);
-        addj jac rd rd op.Mosfet.gd;
-        addj jac rd rg op.Mosfet.gg;
-        addj jac rd rs op.Mosfet.gs;
-        addj jac rs rd (-.op.Mosfet.gd);
-        addj jac rs rg (-.op.Mosfet.gg);
-        addj jac rs rs (-.op.Mosfet.gs))
+        addj jac cur rd rd op.Mosfet.gd;
+        addj jac cur rd rg op.Mosfet.gg;
+        addj jac cur rd rs op.Mosfet.gs;
+        addj jac cur rs rd (-.op.Mosfet.gd);
+        addj jac cur rs rg (-.op.Mosfet.gg);
+        addj jac cur rs rs (-.op.Mosfet.gs))
     (Circuit.devices circuit);
   if gmin > 0.0 then
     for row = 0 to n - 1 do
       g.(row) <- g.(row) +. (gmin *. x.(row));
-      addj jac row row gmin
-    done
+      addj jac cur row row gmin
+    done;
+  match jac with
+  | Some (Sparse { slots; tail; _ })
+    when !cur <> Array.length slots - (if gmin > 0.0 then 0 else tail) ->
+    invalid_arg "Stamp.eval: CSR sink recorded for another add sequence"
+  | Some (Sparse _ | Dense _ | Triplets _) | None -> ()
+
+(* One recording eval with gmin on lists every add, gmin tail last;
+   each is looked up in the pattern once, here *)
+let csr_sink circuit csr =
+  let size = Circuit.size circuit in
+  let coo = Coo.create ~capacity:(16 * Stdlib.max size 1) size size in
+  let x = Array.make size 0.0 and g = Array.make size 0.0 in
+  eval circuit ~t:0.0 ~gmin:1.0 ~x ~g ~jac:(Some (Triplets coo)) ();
+  let slots = Array.make (Coo.entries coo) 0 in
+  let k = ref 0 in
+  Coo.iter coo (fun row col _ ->
+      slots.(!k) <- Csr.index csr row col;
+      incr k);
+  Sparse { csr; slots; tail = Circuit.num_nodes circuit }
 
 (* The MNA pattern is fixed by topology: every [addj]/[stamp_c] call
    site fires regardless of bias, so one evaluation at x = 0 records the
@@ -244,12 +274,14 @@ let pattern circuit =
   let coo = Coo.create ~capacity:(16 * Stdlib.max size 1) size size in
   let x = Array.make size 0.0 in
   let g = Array.make size 0.0 in
-  eval circuit ~t:0.0 ~x ~g ~jac:(Some (Pattern coo)) ();
+  eval circuit ~t:0.0 ~x ~g ~jac:(Some (Triplets coo)) ();
   stamp_c circuit ~add:(fun row col _ -> Coo.add coo row col 0.0);
   for row = 0 to size - 1 do
     Coo.add coo row row 0.0
   done;
-  Coo.to_csr coo
+  let pat = Coo.to_csr coo in
+  Csr.clear pat;
+  pat
 
 let injection circuit (p : Circuit.mismatch_param) ~x ?xdot () =
   let v = volt x in

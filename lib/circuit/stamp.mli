@@ -19,22 +19,31 @@ val stamp_c : Circuit.t -> add:(int -> int -> float -> unit) -> unit
     [stamp_c] into a fresh [Mat.t]). *)
 
 (** Where Jacobian stamps go: a dense [Mat.t], a {!Csr.t} over the
-    fixed {!pattern}, or (inside {!pattern}) the structure recorder.
-    {!eval} clears the sink, then sums each stamp into its entry in
-    stamp order — the sum [Mat.add_to] computes, at the position
-    {!Csr.index} finds on the CSR sink — so the dense and the CSR sink
-    hold the same bits.  The adds index the float arrays in this
-    module: a float passed to a closure or to another module would be
-    boxed under [-opaque] (docs/solver.md §8). *)
+    fixed {!pattern}, or a triplet recorder.  {!eval} clears the sink,
+    then sums each stamp into its entry in stamp order — the sum
+    [Mat.add_to] computes — so the dense and the CSR sink hold the same
+    bits.  The adds index the float arrays in this module: a float
+    passed to a closure or to another module would be boxed under
+    [-opaque] (docs/solver.md §8). *)
 type jac_sink
 
 val dense_sink : Mat.t -> jac_sink
 (** Stamps accumulate into the matrix, row-major. *)
 
-val csr_sink : Csr.t -> jac_sink
-(** Stamps accumulate into the pattern's values, one {!Csr.index}
-    lookup per stamp; a position outside the pattern raises
-    [Not_found]. *)
+val csr_sink : Circuit.t -> Csr.t -> jac_sink
+(** Stamps of this circuit accumulate into the CSR's values.  The
+    sequence of Jacobian adds is static: every device add fires at any
+    [x], and only the gmin tail depends on [gmin].  So one recording
+    eval (with gmin) lists the adds in stamp order, and each add's
+    value position is looked up here, once; {!eval} then adds through
+    the recorded positions with no search.  Raises [Not_found] when an
+    add falls outside the CSR's pattern ({!pattern} of the circuit
+    covers them all).  The sink holds no eval state, but its values are
+    one buffer: one eval at a time. *)
+
+val coo_sink : Coo.t -> jac_sink
+(** Every Jacobian add is appended to the assembler as a triplet, in
+    stamp order (ground rows and columns dropped), values unsummed. *)
 
 val pattern : Circuit.t -> Csr.t
 (** The structural union of the Jacobian, the C matrix, and the full
@@ -50,7 +59,10 @@ val eval :
 
     [gmin] adds a conductance to ground on every node row (both in the
     residual and the Jacobian), used for homotopy during DC solves.
-    [src_scale] scales every independent source (source stepping). *)
+    [src_scale] scales every independent source (source stepping).
+    Raises [Invalid_argument] when a {!csr_sink}'s adds do not end at
+    the count recorded for this gmin setting (a sink of another
+    circuit). *)
 
 val injection :
   Circuit.t -> Circuit.mismatch_param -> x:Vec.t -> ?xdot:Vec.t -> unit ->

@@ -27,7 +27,8 @@ let prepare ?x_op circuit =
     match Linsys.solver_for n with
     | Linsys.Sparse | Linsys.Krylov ->
       let pat = Stamp.pattern circuit in
-      Stamp.eval circuit ~t:0.0 ~x:x_op ~g ~jac:(Some (Stamp.csr_sink pat)) ();
+      Stamp.eval circuit ~t:0.0 ~x:x_op ~g
+        ~jac:(Some (Stamp.csr_sink circuit pat)) ();
       let c_vals = Array.make (Csr.nnz pat) 0.0 in
       Stamp.stamp_c circuit ~add:(fun i j v ->
           let p = Csr.index pat i j in

@@ -36,6 +36,9 @@ type repr =
 and rsparse = {
   pat : Csr.t;
   mutable plan : Csplu.plan option;
+  work : Vec.t;
+  factored : Vec.t;
+  mutable last : Splu.t option;
 }
 
 type rsys = {
@@ -50,8 +53,12 @@ let make ?solver circuit =
   | Sparse | Krylov ->
     Obs.count "linsys.sys.sparse" 1;
     let pat = Stamp.pattern circuit in
-    { size = n; repr = Rsparse { pat; plan = None };
-      sink = Stamp.csr_sink pat }
+    { size = n;
+      repr =
+        Rsparse
+          { pat; plan = None; work = Vec.create n;
+            factored = Vec.create (Csr.nnz pat); last = None };
+      sink = Stamp.csr_sink circuit pat }
   | Dense ->
     Obs.count "linsys.sys.dense" 1;
     let m = Mat.create n n in
@@ -118,6 +125,8 @@ let factorize ?(allow_degradation = true) sys =
         Obs.count "linsys.fact.sparse" 1;
         Obs.gauge "linsys.splu.nnz_lu" (float_of_int (Splu.nnz_lu f))
       end;
+      Array.blit s.pat.Csr.v 0 s.factored 0 (Array.length s.factored);
+      s.last <- Some f;
       Fsparse f
     in
     (* last rung of the factorization ladder: the sparse path failed
@@ -135,12 +144,16 @@ let factorize ?(allow_degradation = true) sys =
       end
     in
     let replan_or_degrade () =
+      (* a replay of the kept factor's values on a new plan would pivot
+         differently, so the kept factor is no longer what a fresh
+         factorization returns *)
+      s.last <- None;
       match
         plan ~counter:"linsys.splu.plans" s.pat (Cvec.of_real s.pat.Csr.v)
       with
       | p -> begin
         s.plan <- Some p;
-        match Splu.factorize p s.pat with
+        match Splu.factorize ~scratch:s.work p s.pat with
         | f -> done_ f
         | exception Splu.Singular k -> degrade k
       end
@@ -152,10 +165,15 @@ let factorize ?(allow_degradation = true) sys =
          fail — jump straight to the degradation rung *)
       degrade k
     | Some (Faultsim.Nan | Faultsim.Exn _ | Faultsim.Clock_skip _) | None -> (
-      match s.plan with
-      | None -> replan_or_degrade ()
-      | Some p -> (
-        match Splu.factorize p s.pat with
+      match s.last, s.plan with
+      | Some f, _ when Vec.bits_equal s.pat.Csr.v s.factored ->
+        (* the values the kept factor was replayed from, bit for bit,
+           on the current plan: a replay would return the same factor *)
+        Obs.count "linsys.fact.reused" 1;
+        Fsparse f
+      | _, None -> replan_or_degrade ()
+      | _, Some p -> (
+        match Splu.factorize ~scratch:s.work p s.pat with
         | f -> done_ f
         | exception Splu.Singular _ ->
           (* the recorded pivot order went stale; re-plan on the current
@@ -164,8 +182,10 @@ let factorize ?(allow_degradation = true) sys =
           replan_or_degrade ()))
   end
 
-let solve fact b =
-  match fact with Fdense lu -> Lu.solve lu b | Fsparse f -> Splu.solve f b
+let solve_into fact ~scratch b x =
+  match fact with
+  | Fdense lu -> Lu.solve_into lu b x
+  | Fsparse f -> Splu.solve_into f ~scratch b x
 
 let solve_inplace fact ~scratch b =
   match fact with
@@ -180,17 +200,20 @@ let solve_transpose fact b =
   | Fdense lu -> Lu.solve_transpose lu b
   | Fsparse f -> Splu.solve_transpose f b
 
-type rmat = Mdense of Mat.t | Msparse of Csr.t
+type rmat = Mdense of Mat.t | Msparse of { c : Csr.t; at : int array }
 
 let c_matrix sys circuit =
   match sys.repr with
   | Rdense _ -> Mdense (Stamp.c_matrix circuit)
-  | Rsparse _ -> Msparse (Stamp.c_csr circuit)
+  | Rsparse s ->
+    let c = Stamp.c_csr circuit in
+    let at = Array.make (Csr.nnz c) 0 in
+    for i = 0 to Csr.rows c - 1 do
+      for p = c.Csr.rp.(i) to c.Csr.rp.(i + 1) - 1 do
+        at.(p) <- Csr.index s.pat i c.Csr.ci.(p)
+      done
+    done;
+    Msparse { c; at }
 
-let rmat_dense = function Mdense m -> m | Msparse c -> Csr.to_dense c
-let rmat_csr = function Mdense m -> Csr.of_dense m | Msparse c -> c
-
-let rmat_mul_vec_into cm x y =
-  match cm with
-  | Mdense m -> Mat.mul_vec_into m x y
-  | Msparse c -> Csr.mul_vec_into c x y
+let rmat_dense = function Mdense m -> m | Msparse { c; _ } -> Csr.to_dense c
+let rmat_csr = function Mdense m -> Csr.of_dense m | Msparse { c; _ } -> c

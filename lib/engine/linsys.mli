@@ -69,6 +69,9 @@ type repr =
 and rsparse = {
   pat : Csr.t; (* Stamp.pattern structure; v holds the current values *)
   mutable plan : Csplu.plan option; (* built lazily from first values *)
+  work : Vec.t; (* the replay's elimination scratch, size floats *)
+  factored : Vec.t; (* the values [last] was factored from *)
+  mutable last : Splu.t option; (* the last sparse factor handed out *)
 }
 
 type rsys = {
@@ -111,22 +114,39 @@ val factorize : ?allow_degradation:bool -> rsys -> rfact
     and in the calling domain's {!degradation_count} — before giving
     up.  Raises {!Singular_row} when nothing worked (or immediately on
     a singular dense/disallowed-degradation path).  The ["linsys.splu"]
-    {!Faultsim} site can force the sparse path to fail. *)
+    {!Faultsim} site can force the sparse path to fail; it is visited
+    on every call.
 
-val solve : rfact -> Vec.t -> Vec.t
+    Sparse reuse: when the values equal, bit for bit
+    ({!Vec.bits_equal}), those of the last sparse factor this system
+    handed out, on the same plan, that factor is returned again
+    (["linsys.fact.reused"]; only real replays count as
+    ["linsys.fact.sparse"]).  A replay would produce exactly it.  A
+    degraded (dense) factor is never kept.  So one factor can be held
+    by several callers at once — step banks, [Newton.result.last_fact]
+    — and no factor is ever refilled once returned. *)
+
+val solve_into : rfact -> scratch:Vec.t -> Vec.t -> Vec.t -> unit
+(** [solve_into f ~scratch b x] writes the solution of [A·x = b] into
+    [x] without allocating; [b], [x] and [scratch] are distinct arrays
+    of the system's size. *)
+
 val solve_inplace : rfact -> scratch:Vec.t -> Vec.t -> unit
 (** [solve_inplace f ~scratch b] overwrites [b] with the solution
     without allocating; [scratch] (length [dim]) must not alias [b]. *)
 
 val solve_transpose : rfact -> Vec.t -> Vec.t
 
-(** The constant C matrix in the representation matching the system. *)
-type rmat = Mdense of Mat.t | Msparse of Csr.t
+(** The constant C matrix in the representation matching the system;
+    a sparse one carries, for each of its entries, that entry's position
+    in the system's pattern values ([at]). *)
+type rmat = Mdense of Mat.t | Msparse of { c : Csr.t; at : int array }
 
 val c_matrix : rsys -> Circuit.t -> rmat
 (** Stamp the circuit's C matrix for this system: dense for a dense
     system; for a sparse one straight into CSR ({!Stamp.c_csr}), never
-    forming the n×n matrix. *)
+    forming the n×n matrix, and mapped into the system's pattern once
+    here. *)
 
 val rmat_dense : rmat -> Mat.t
 (** The dense matrix, converting a CSR exactly (entries and bits). *)
@@ -134,4 +154,3 @@ val rmat_dense : rmat -> Mat.t
 val rmat_csr : rmat -> Csr.t
 (** The CSR matrix, converting a dense one with {!Csr.of_dense}. *)
 
-val rmat_mul_vec_into : rmat -> Vec.t -> Vec.t -> unit

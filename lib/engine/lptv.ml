@@ -129,9 +129,11 @@ let build ?solver ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
   let solver = Option.value solver ~default:(Linsys.solver_for n) in
   (* the m step factorizations, one loop over one set of stamp
      buffers; a transient exception (an injected "lptv.factor" fault)
-     re-runs the deterministic loop bit-identically *)
-  let factor_steps factor =
+     re-runs the deterministic loop bit-identically: [start] makes the
+     loop's state afresh for every run and returns its step factor *)
+  let factor_steps start =
     Retry.with_transients ~policy ~label:"lptv" (fun () ->
+        let factor = start () in
         Array.init m (fun i ->
             Budget.check_opt budget;
             Faultsim.check_exn "lptv.factor";
@@ -146,7 +148,7 @@ let build ?solver ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
       let g_buf = Vec.create n and jac = Mat.create n n in
       (* M_k = C(1/h + jω) + G(t_k) *)
       let clus =
-        factor_steps (fun k ->
+        factor_steps (fun () k ->
             Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
               ~x:pss.Pss.states.(k) ~g:g_buf
               ~jac:(Some (Stamp.dense_sink jac))
@@ -171,11 +173,12 @@ let build ?solver ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
           c_vals.(p) <- c_vals.(p) +. v);
       let g_buf = Vec.create n in
       let gcsr = Csr.copy pat in
+      let sink = Some (Stamp.csr_sink circuit gcsr) in
       let zvals = Cvec.create nnz in
       (* stamp M_k's values into [zvals] *)
       let stamp_at k =
         Stamp.eval circuit ~t:pss.Pss.times.(k) ~gmin:1e-12
-          ~x:pss.Pss.states.(k) ~g:g_buf ~jac:(Some (Stamp.csr_sink gcsr)) ();
+          ~x:pss.Pss.states.(k) ~g:g_buf ~jac:sink ();
         let gv = gcsr.Csr.v in
         for p = 0 to nnz - 1 do
           zvals.re.(p) <- gv.(p) +. (c_vals.(p) /. h);
@@ -186,10 +189,25 @@ let build ?solver ?(policy = Retry.default) ?budget (pss : Pss.t) ~f_offset =
       stamp_at 1;
       let plan = Linsys.plan ~counter:"lptv.csplu.plans" pat zvals in
       let fs =
-        factor_steps (fun k ->
-            stamp_at k;
-            Obs.count "lptv.fact.sparse" 1;
-            Csplu.factorize plan pat zvals)
+        factor_steps (fun () ->
+            (* step k reuses step k−1's factor when M_k's values are
+               M_{k−1}'s bit for bit: a replay would return the same *)
+            let scratch = Cvec.create n and factored = Cvec.create nnz in
+            let last = ref None in
+            fun k ->
+              stamp_at k;
+              match !last with
+              | Some f
+                when Vec.bits_equal zvals.re factored.re
+                     && Vec.bits_equal zvals.im factored.im ->
+                Obs.count "lptv.fact.reused" 1;
+                f
+              | Some _ | None ->
+                Obs.count "lptv.fact.sparse" 1;
+                let f = Csplu.factorize ~scratch plan pat zvals in
+                Cvec.blit zvals factored;
+                last := Some f;
+                f)
       in
       (Cm_sparse (Csr.scale (1.0 /. h) (Linsys.rmat_csr pss.Pss.c_mat)),
        Ssparse fs)

@@ -43,6 +43,8 @@ let solve ~eval ~sys ~x0 ?budget ?(policy = Retry.default) ?(max_iter = 80)
   let n = Vec.dim x0 in
   let x = Vec.copy x0 in
   let g = Vec.create n in
+  (* −g, the update and the solve's scratch, rewritten every iterate *)
+  let rhs = Vec.create n and dx = Vec.create n and scratch = Vec.create n in
   let hist = ref [] in
   let history () = Array.of_list (List.rev !hist) in
   let fail ?singular iter gnorm last_fact =
@@ -102,7 +104,10 @@ let solve ~eval ~sys ~x0 ?budget ?(policy = Retry.default) ?(max_iter = 80)
       fail ~singular:k iter gnorm last_fact
     | `Fact (gnorm, fact) ->
       hist := gnorm :: !hist;
-      let dx = Linsys.solve fact (Vec.scale (-1.0) g) in
+      for i = 0 to n - 1 do
+        rhs.(i) <- -1.0 *. g.(i)
+      done;
+      Linsys.solve_into fact ~scratch rhs dx;
       let raw_step = Vec.norm_inf dx in
       if not (Float.is_finite raw_step) then fail iter gnorm (Some fact)
       else begin

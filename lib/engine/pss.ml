@@ -113,7 +113,7 @@ let krylov_delta ~c_over_h ~facts ~gws n (r : Vec.t) =
   let phi_apply v =
     Array.iter
       (fun fact ->
-        Linsys.rmat_mul_vec_into c_over_h v tmp;
+        Csr.mul_vec_into c_over_h v tmp;
         Linsys.solve_inplace fact ~scratch tmp;
         Vec.blit tmp v)
       facts
@@ -185,9 +185,7 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
   in
   let solve_with steps =
     let h = period /. float_of_int steps in
-    let c_over_h =
-      lazy (Linsys.Msparse (Csr.scale (1.0 /. h) (Linsys.rmat_csr c_mat)))
-    in
+    let c_over_h = lazy (Csr.scale (1.0 /. h) (Linsys.rmat_csr c_mat)) in
     let x0 = ref (Vec.copy x_init) in
     let rhist = ref [] in
     let rec iterate iter =

@@ -36,6 +36,8 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
       Stamp.eval circuit ~t:t_prev ~gmin:options.gmin ~x:x_prev ~g ~jac:None ();
       Some g
   in
+  (* x − x_prev and C·(x − x_prev), rewritten by every Newton iterate *)
+  let dx = Vec.create n and cdx = Vec.create n in
   let eval ~x ~g =
     Stamp.eval circuit ~t:t_next ~gmin:options.gmin ~x ~g
       ~jac:(Some sys.Linsys.sink) ();
@@ -60,10 +62,12 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
     List.iter (fun (row, value) -> g.(row) <- g.(row) +. value) forcing;
     (* add C·(x - x_prev)/h and C/h, indexing the float arrays directly
        (docs/solver.md §8) *)
+    for i = 0 to n - 1 do
+      dx.(i) <- x.(i) -. x_prev.(i)
+    done;
     match sys.Linsys.repr, c_mat with
     | Linsys.Rdense jac, Linsys.Mdense cm ->
-      let dx = Vec.sub x x_prev in
-      let cdx = Mat.mul_vec cm dx in
+      Mat.mul_vec_into cm dx cdx;
       let ja = jac.Mat.a and ca = cm.Mat.a in
       for i = 0 to n - 1 do
         g.(i) <- g.(i) +. (cdx.(i) /. h);
@@ -72,19 +76,16 @@ let step ~options ~circuit ~sys ~c_mat ~x_prev ~t_prev ~t_next ?budget ?policy
           ja.(p) <- ja.(p) +. (ca.(p) /. h)
         done
       done
-    | Linsys.Rsparse { pat; _ }, Linsys.Msparse cm ->
-      let dx = Vec.sub x x_prev in
-      let cdx = Csr.mul_vec cm dx in
+    | Linsys.Rsparse { pat; _ }, Linsys.Msparse { c = cm; at } ->
+      Csr.mul_vec_into cm dx cdx;
       for i = 0 to n - 1 do
         g.(i) <- g.(i) +. (cdx.(i) /. h)
       done;
-      let rp = cm.Csr.rp and ci = cm.Csr.ci and v = cm.Csr.v in
-      let pv = pat.Csr.v in
-      for i = 0 to Csr.rows cm - 1 do
-        for p = rp.(i) to rp.(i + 1) - 1 do
-          let q = Csr.index pat i ci.(p) in
-          pv.(q) <- pv.(q) +. (v.(p) /. h)
-        done
+      (* C's entries in row order, each at its recorded pattern slot *)
+      let v = cm.Csr.v and pv = pat.Csr.v in
+      for p = 0 to Array.length at - 1 do
+        let q = at.(p) in
+        pv.(q) <- pv.(q) +. (v.(p) /. h)
       done
     | _ -> invalid_arg "Tran.step: c_mat representation mismatch"
   in

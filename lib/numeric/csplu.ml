@@ -268,15 +268,20 @@ let plan (csr : Csr.t) (vals : Cvec.t) =
     cpos;
   }
 
-let refactorize t (csr : Csr.t) (vals : Cvec.t) =
+let refactorize t ~(scratch : Cvec.t) (csr : Csr.t) (vals : Cvec.t) =
   let p = t.plan in
   if Csr.rows csr <> p.n || Csr.cols csr <> p.n then
     invalid_arg "Csplu.refactorize: dimension mismatch";
   if Cvec.dim vals <> Csr.nnz csr then
     invalid_arg "Csplu.refactorize: values/pattern length mismatch";
+  if Cvec.dim scratch < p.n then
+    invalid_arg "Csplu.refactorize: scratch too short";
   let tol = default_tol vals in
-  let xr = Array.make (Stdlib.max p.n 1) 0.0 in
-  let xi = Array.make (Stdlib.max p.n 1) 0.0 in
+  (* zeroed here, not trusted: a Singular raised mid-column leaves it
+     dirty *)
+  let xr = scratch.re and xi = scratch.im in
+  Array.fill xr 0 (Array.length xr) 0.0;
+  Array.fill xi 0 (Array.length xi) 0.0;
   for j = 0 to p.n - 1 do
     for pp = p.cp.(j) to p.cp.(j + 1) - 1 do
       xr.(p.cri.(pp)) <- vals.re.(p.cpos.(pp));
@@ -319,7 +324,7 @@ let refactorize t (csr : Csr.t) (vals : Cvec.t) =
     done
   done
 
-let factorize plan csr vals =
+let factorize ?scratch plan csr vals =
   let nl = Stdlib.max (Array.length plan.li) 1 in
   let nu = Stdlib.max (Array.length plan.ui) 1 in
   let nd = Stdlib.max plan.n 1 in
@@ -334,7 +339,10 @@ let factorize plan csr vals =
       dxi = Array.make nd 0.0;
     }
   in
-  refactorize t csr vals;
+  let scratch =
+    match scratch with Some s -> s | None -> Cvec.create plan.n
+  in
+  refactorize t ~scratch csr vals;
   t
 
 let check_solve name n (scratch : Cvec.t) (b : Cvec.t) (x : Cvec.t) =

@@ -53,11 +53,17 @@ val plan : Csr.t -> Cvec.t -> plan
 val plan_dim : plan -> int
 val dim : t -> int
 
-val factorize : plan -> Csr.t -> Cvec.t -> t
-(** Numeric factorization of values in the plan's pattern.  Raises
+val factorize : ?scratch:Cvec.t -> plan -> Csr.t -> Cvec.t -> t
+(** Numeric factorization of values in the plan's pattern, into fresh
+    factor storage.  [scratch] (at least [dim] entries, overwritten) is
+    the elimination's work vector; without it one is allocated.  Raises
     [Singular j] when a replayed pivot falls below tolerance. *)
 
-val refactorize : t -> Csr.t -> Cvec.t -> unit
+val refactorize : t -> scratch:Cvec.t -> Csr.t -> Cvec.t -> unit
+(** Like {!factorize} but overwrites [t]'s storage; allocates nothing.
+    Only for a factor no one else holds: a factor in an LPTV step bank
+    may serve several steps after a bit-exact reuse, and is never
+    refilled. *)
 
 val solve_into : t -> scratch:Cvec.t -> Cvec.t -> Cvec.t -> unit
 (** [solve_into t ~scratch b x] solves [A·x = b]; [b], [x] and

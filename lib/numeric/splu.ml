@@ -19,7 +19,7 @@ let nnz_lu t = Array.length t.ux + Array.length t.lx + Array.length t.dx
 
 (* a loop, not a fold, so no value is boxed; Float.max keeps a NaN, so
    a NaN value makes the tolerance NaN and turns the singular test off *)
-let default_tol (csr : Csr.t) =
+let[@inline] default_tol (csr : Csr.t) =
   let v = csr.Csr.v in
   let scale = ref 0.0 in
   for p = 0 to Array.length v - 1 do
@@ -29,14 +29,19 @@ let default_tol (csr : Csr.t) =
 
 let plan (csr : Csr.t) = Csplu.plan csr (Cvec.of_real csr.Csr.v)
 
-let refactorize t (csr : Csr.t) =
+let refactorize t ~scratch (csr : Csr.t) =
   let p = t.plan in
   if Csr.rows csr <> p.n || Csr.cols csr <> p.n then
     invalid_arg "Splu.refactorize: dimension mismatch";
   if Csr.nnz csr <> Array.length p.cri && p.n > 0 then
     invalid_arg "Splu.refactorize: pattern mismatch";
+  if Array.length scratch < p.n then
+    invalid_arg "Splu.refactorize: scratch too short";
   let tol = default_tol csr in
-  let x = Array.make (Stdlib.max p.n 1) 0.0 in
+  (* zeroed here, not trusted: a Singular raised mid-column leaves it
+     dirty *)
+  let x = scratch in
+  Array.fill x 0 (Array.length x) 0.0;
   for j = 0 to p.n - 1 do
     for pp = p.cp.(j) to p.cp.(j + 1) - 1 do
       x.(p.cri.(pp)) <- csr.Csr.v.(p.cpos.(pp))
@@ -67,7 +72,7 @@ let refactorize t (csr : Csr.t) =
     done
   done
 
-let factorize (plan : plan) csr =
+let factorize ?scratch (plan : plan) csr =
   let t =
     {
       plan;
@@ -76,7 +81,10 @@ let factorize (plan : plan) csr =
       dx = Array.make (Stdlib.max plan.n 1) 0.0;
     }
   in
-  refactorize t csr;
+  let scratch =
+    match scratch with Some s -> s | None -> Array.make plan.n 0.0
+  in
+  refactorize t ~scratch csr;
   t
 
 (* A·Q = L'·U' with L' unit-diagonal at the pivot positions, so

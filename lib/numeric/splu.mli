@@ -40,14 +40,20 @@ val dim : t -> int
 val nnz_lu : t -> int
 (** Stored entries in L + U (fill included), for diagnostics. *)
 
-val factorize : plan -> Csr.t -> t
-(** Numeric factorization of a matrix with the plan's pattern.  Raises
-    [Singular j] when a replayed pivot falls below tolerance — callers
-    typically re-{!plan} once and retry, since a big value change can
-    invalidate the recorded pivot order. *)
+val factorize : ?scratch:Vec.t -> plan -> Csr.t -> t
+(** Numeric factorization of a matrix with the plan's pattern, into
+    fresh factor storage.  [scratch] (at least [dim] floats, overwritten)
+    is the elimination's work vector; without it one is allocated.
+    Raises [Singular j] when a replayed pivot falls below tolerance —
+    callers typically re-{!plan} once and retry, since a big value
+    change can invalidate the recorded pivot order. *)
 
-val refactorize : t -> Csr.t -> unit
-(** Like {!factorize} but reuses [t]'s storage. *)
+val refactorize : t -> scratch:Vec.t -> Csr.t -> unit
+(** Like {!factorize} but overwrites [t]'s storage; allocates nothing.
+    Only for a factor no one else holds: a factorization handed out by
+    [Linsys.factorize] may be shared (kept in [Pss.step_facts], an LPTV
+    step bank and [Newton.result.last_fact] at once, after a bit-exact
+    reuse), and is never refilled. *)
 
 val solve_into : t -> scratch:Vec.t -> Vec.t -> Vec.t -> unit
 (** [solve_into t ~scratch b x] solves [A·x = b].  [b], [x] and

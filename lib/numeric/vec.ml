@@ -16,15 +16,30 @@ let check_dim x y =
   if Array.length x <> Array.length y then
     invalid_arg "Vec: dimension mismatch"
 
+(* loops, not Array.init/map closures, so no entry is boxed on its
+   way into the result (docs/solver.md §8) *)
 let add x y =
   check_dim x y;
-  Array.init (Array.length x) (fun i -> x.(i) +. y.(i))
+  let z = Array.make (Array.length x) 0.0 in
+  for i = 0 to Array.length x - 1 do
+    z.(i) <- x.(i) +. y.(i)
+  done;
+  z
 
 let sub x y =
   check_dim x y;
-  Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
+  let z = Array.make (Array.length x) 0.0 in
+  for i = 0 to Array.length x - 1 do
+    z.(i) <- x.(i) -. y.(i)
+  done;
+  z
 
-let scale a x = Array.map (fun xi -> a *. xi) x
+let scale a x =
+  let z = Array.make (Array.length x) 0.0 in
+  for i = 0 to Array.length x - 1 do
+    z.(i) <- a *. x.(i)
+  done;
+  z
 
 let axpy a x y =
   check_dim x y;
@@ -42,7 +57,13 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0.0 x
+(* Float.max keeps a NaN, so a NaN entry makes the norm NaN *)
+let norm_inf x =
+  let m = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    m := Float.max !m (Float.abs x.(i))
+  done;
+  !m
 
 let dist_inf x y =
   check_dim x y;
@@ -51,6 +72,18 @@ let dist_inf x y =
     m := Float.max !m (Float.abs (x.(i) -. y.(i)))
   done;
   !m
+
+let bits_equal x y =
+  Array.length x = Array.length y
+  &&
+  let i = ref 0 in
+  while
+    !i < Array.length x
+    && Int64.equal (Int64.bits_of_float x.(!i)) (Int64.bits_of_float y.(!i))
+  do
+    incr i
+  done;
+  !i = Array.length x
 
 let map = Array.map
 let map2 = Array.map2

@@ -42,6 +42,11 @@ val norm_inf : t -> float
 val dist_inf : t -> t -> float
 (** [dist_inf x y] is [norm_inf (sub x y)] without the allocation. *)
 
+val bits_equal : t -> t -> bool
+(** Same length and the same IEEE-754 bits at every index
+    ([Int64.bits_of_float]): [+0.] and [-0.] differ, and a NaN equals
+    a NaN with the same payload.  Stops at the first difference. *)
+
 val map : (float -> float) -> t -> t
 
 val map2 : (float -> float -> float) -> t -> t -> t

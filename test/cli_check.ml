@@ -79,12 +79,24 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* remove [path] and everything under it, not following symlinks:
+   the private temp dir goes on exit, whether the checks passed,
+   failed or raised *)
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 let () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "varsim_cli_%d" (Unix.getpid ()))
   in
   Unix.mkdir dir 0o755;
+  at_exit (fun () -> rm_rf dir);
   Sys.chdir dir;
 
   write_file "mirror.sp"

@@ -108,12 +108,24 @@ let stop_daemon pid =
   let _, status = Unix.waitpid [] pid in
   status
 
+(* remove [path] and everything under it, not following symlinks:
+   the private temp dir goes on exit, whether the checks passed,
+   failed or raised *)
+let rec rm_rf path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 let () =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "varsim_serve_%d" (Unix.getpid ()))
   in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  at_exit (fun () -> rm_rf dir);
   let socket = Filename.concat dir "d.sock" in
   let cache_dir = Filename.concat dir "cache" in
   let log = Filename.concat dir "serve.log" in

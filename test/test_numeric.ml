@@ -278,6 +278,22 @@ let minor_words_per_call f =
   done;
   (Gc.minor_words () -. w0) /. float_of_int calls
 
+(* Words per call allocated straight in the major heap: an array above
+   Max_young_wosize (256 words) skips the minor heap, so minor words
+   miss it.  Promoted words are counted in major_words too, and are
+   taken back out. *)
+let major_words_per_call f =
+  let calls = 100 in
+  f ();
+  let s0 = Gc.quick_stat () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  let s1 = Gc.quick_stat () in
+  (s1.Gc.major_words -. s0.Gc.major_words
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words))
+  /. float_of_int calls
+
 let test_complex_kernels_allocation_free () =
   let rng = Rng.create 35 in
   let n = 40 in
@@ -352,16 +368,102 @@ let test_real_kernels_allocation () =
     true
     (words <= float_of_int ((n * n) + (2 * n) + 16))
 
+(* The Vec kernels on the Newton path are loops: the norm allocates
+   only the box of the float it returns (two words: a float result
+   crossing a module is boxed under -opaque), and add/sub/scale their
+   result array (n floats and a header word), no entry on its way in *)
+let test_vec_kernels_allocation () =
+  let rng = Rng.create 37 in
+  let n = 40 in
+  let x = Rng.gaussian_vector rng n and y = Rng.gaussian_vector rng n in
+  let sink = ref 0.0 in
+  let w = minor_words_per_call (fun () -> sink := Vec.norm_inf x) in
+  Alcotest.(check bool)
+    (Printf.sprintf "Vec.norm_inf: %.0f minor words per call <= 2" w)
+    true (w <= 2.0);
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (float 0.0)) (name ^ ": minor words per call")
+        (float_of_int (n + 1))
+        (minor_words_per_call (fun () -> ignore (f () : Vec.t))))
+    [
+      ("Vec.add", fun () -> Vec.add x y);
+      ("Vec.sub", fun () -> Vec.sub x y);
+      ("Vec.scale", fun () -> Vec.scale (-1.0) x);
+    ]
+
+let dac codes =
+  Dac_string.testbench
+    ~params:{ Dac_string.default_params with Dac_string.codes } ()
+
+(* Splu's replay takes its elimination scratch from the caller: a
+   refactorization of the DAC's Jacobian writes the factor's storage
+   and allocates nothing, minor or major (the 513-float scratch would
+   have gone straight to the major heap) *)
+let test_splu_refactorize_allocation () =
+  let c = dac 512 in
+  let size = Circuit.size c in
+  let pat = Stamp.pattern c in
+  let x = Array.init size (fun i -> 0.001 *. float_of_int i) in
+  Stamp.eval c ~t:1e-7 ~gmin:1e-12 ~x ~g:(Vec.create size)
+    ~jac:(Some (Stamp.csr_sink c pat)) ();
+  let scratch = Vec.create size in
+  let f = Splu.factorize ~scratch (Splu.plan pat) pat in
+  let refactorize () = Splu.refactorize f ~scratch pat in
+  Alcotest.(check (float 0.0)) "Splu.refactorize: minor words per call" 0.0
+    (minor_words_per_call refactorize);
+  Alcotest.(check (float 0.0)) "Splu.refactorize: major words per call" 0.0
+    (major_words_per_call refactorize)
+
+(* A transient step of a linear circuit whose factor is reused: Newton
+   and Tran.step run on buffers allocated once per step, so the words
+   a step allocates are a fixed number of n-float arrays plus a
+   size-free constant.  Seven arrays: Newton's iterate, residual,
+   negated residual, update and solve scratch, and Tran's x − x_prev
+   and C·(x − x_prev).  The 64- and 128-code DACs keep those arrays
+   under the minor-heap size limit, so minor words count them exactly;
+   on the 512-code DAC they go straight to the major heap, whose word
+   counter is not exact per call under OCaml 5 (a probe read 453–529
+   words per 514-word array), so there the step's minor words must be
+   the same size-free constant.  An n-sized allocation per Newton
+   iteration or a factorization per step breaks one of the counts. *)
+let test_tran_step_allocation () =
+  let step_words codes =
+    let c = dac codes in
+    let sys = Linsys.make ~solver:Linsys.Sparse c in
+    let c_mat = Linsys.c_matrix sys c in
+    let x_prev = Vec.create (Circuit.size c) in
+    let iterations = ref 0 in
+    let step () =
+      let r =
+        Tran.step ~options:Tran.default_options ~circuit:c ~sys ~c_mat ~x_prev
+          ~t_prev:0.0 ~t_next:1e-8 ()
+      in
+      iterations := r.Newton.iterations
+    in
+    let words = minor_words_per_call step in
+    (Circuit.size c, words, !iterations)
+  in
+  let n64, w64, i64 = step_words 64 and n128, w128, i128 = step_words 128 in
+  let _, w512, i512 = step_words 512 in
+  Alcotest.(check (list int)) "Newton iterations per step" [ i64; i64 ]
+    [ i128; i512 ];
+  Alcotest.(check (float 0.0))
+    (Printf.sprintf "words per step, n = %d minus n = %d (%.0f and %.0f)" n128
+       n64 w128 w64)
+    (float_of_int (7 * (n128 - n64)))
+    (w128 -. w64);
+  Alcotest.(check (float 0.0)) "minor words per step, 512 codes"
+    (w64 -. float_of_int (7 * (n64 + 1)))
+    w512
+
 let test_stamp_allocation () =
   let stamp_words codes =
-    let c =
-      Dac_string.testbench
-        ~params:{ Dac_string.default_params with Dac_string.codes } ()
-    in
+    let c = dac codes in
     let size = Circuit.size c in
     let x = Array.init size (fun i -> 0.001 *. float_of_int i) in
     let g = Vec.create size in
-    let jac = Some (Stamp.csr_sink (Stamp.pattern c)) in
+    let jac = Some (Stamp.csr_sink c (Stamp.pattern c)) in
     minor_words_per_call (fun () -> Stamp.eval c ~t:1e-7 ~x ~g ~jac ())
   in
   let w64 = stamp_words 64 and w512 = stamp_words 512 in
@@ -741,6 +843,12 @@ let () =
           Alcotest.test_case "real kernels allocation" `Quick
             test_real_kernels_allocation;
           Alcotest.test_case "stamp allocation" `Quick test_stamp_allocation;
+          Alcotest.test_case "vec kernels allocation" `Quick
+            test_vec_kernels_allocation;
+          Alcotest.test_case "splu refactorize allocation" `Quick
+            test_splu_refactorize_allocation;
+          Alcotest.test_case "tran step allocation" `Quick
+            test_tran_step_allocation;
         ] );
       ( "cholesky",
         [

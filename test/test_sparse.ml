@@ -164,7 +164,7 @@ let test_splu_refactorize () =
     for p = 0 to Csr.nnz c - 1 do
       c.Csr.v.(p) <- c.Csr.v.(p) *. Rng.uniform_range rng 0.5 1.5
     done;
-    Splu.refactorize f c;
+    Splu.refactorize f ~scratch:(Vec.create n) c;
     let m' = Csr.to_dense c in
     let b = Array.init n (fun _ -> Rng.uniform_range rng (-1.0) 1.0) in
     let x = Splu.solve f b in
@@ -323,17 +323,19 @@ let test_pnoise_parity () =
    solver regime as under the dense reference.  The decks sit below
    [Linsys.auto_threshold], so production runs them dense; this pins
    the other regimes to them. *)
-let test_deck_dc_parity () =
+let committed_decks () =
   let dir = "../decks" in
-  let decks =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".sp")
-    |> List.sort compare
-  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".sp")
+  |> List.sort compare
+  |> List.map (fun f ->
+         (f, (Spice_elab.load_file (Filename.concat dir f)).Spice_elab.circuit))
+
+let test_deck_dc_parity () =
+  let decks = committed_decks () in
   Alcotest.(check bool) "decks found" true (decks <> []);
   List.iter
-    (fun f ->
-      let c = (Spice_elab.load_file (Filename.concat dir f)).Spice_elab.circuit in
+    (fun (f, c) ->
       let xd = Dc.solve ~solver:Linsys.Dense c in
       List.iter
         (fun (name, solver) ->
@@ -343,6 +345,233 @@ let test_deck_dc_parity () =
             true (rel < 1e-9))
         [ ("sparse", Linsys.Sparse); ("krylov", Linsys.Krylov) ])
     decks
+
+(* ------------------------------------------- slot-mapped sink, reuse *)
+
+let dac ?freq codes =
+  Dac_string.testbench
+    ~params:{ Dac_string.default_params with Dac_string.codes } ?freq ()
+
+let sparse_state (sys : Linsys.rsys) =
+  match sys.Linsys.repr with
+  | Linsys.Rsparse s -> s
+  | Linsys.Rdense _ -> Alcotest.fail "expected a sparse system"
+
+(* The lookup the slot map replaced: every Jacobian add of one eval, in
+   stamp order, summed into its entry found by Csr.index *)
+let csr_index_reference c pat ~gmin ~x =
+  let size = Circuit.size c in
+  let coo = Coo.create size size in
+  Stamp.eval c ~t:1e-7 ~gmin ~x ~g:(Vec.create size)
+    ~jac:(Some (Stamp.coo_sink coo)) ();
+  let v = Array.make (Csr.nnz pat) 0.0 in
+  Coo.iter coo (fun i j value ->
+      let p = Csr.index pat i j in
+      v.(p) <- v.(p) +. value);
+  v
+
+let test_slot_map_parity () =
+  let rng = Rng.create 41 in
+  List.iter
+    (fun (name, c) ->
+      let sys = Linsys.make ~solver:Linsys.Sparse c in
+      let pat = (sparse_state sys).Linsys.pat in
+      let size = Circuit.size c in
+      let x_op = Dc.solve ~solver:Linsys.Sparse c in
+      let x_rand = Array.init size (fun _ -> Rng.uniform_range rng (-1.0) 1.0) in
+      List.iter
+        (fun (at, x) ->
+          List.iter
+            (fun gmin ->
+              Stamp.eval c ~t:1e-7 ~gmin ~x ~g:(Vec.create size)
+                ~jac:(Some sys.Linsys.sink) ();
+              Alcotest.(check bool)
+                (Printf.sprintf "%s at %s, gmin %g: values of the Csr.index sum"
+                   name at gmin)
+                true
+                (Vec.bits_equal (csr_index_reference c pat ~gmin ~x)
+                   pat.Csr.v))
+            [ 0.0; 1e-3 ])
+        [ ("the operating point", x_op); ("a random x", x_rand) ])
+    (committed_decks () @ [ ("dac64", dac 64); ("dac512", dac 512) ]);
+  (* a sink replays its own circuit's add sequence and no other *)
+  let c64 = dac 64 and c512 = dac 512 in
+  let eval_with c sink_of =
+    let size = Circuit.size c in
+    Stamp.eval c ~t:0.0 ~x:(Vec.create size) ~g:(Vec.create size)
+      ~jac:(Some (Stamp.csr_sink sink_of (Stamp.pattern sink_of))) ()
+  in
+  List.iter
+    (fun (what, c, sink_of) ->
+      Alcotest.(check bool) what true
+        (match eval_with c sink_of with
+         | () -> false
+         | exception Invalid_argument _ -> true))
+    [ ("a 64-code sink refuses the 512-code adds", c512, c64);
+      ("a 512-code sink refuses the 64-code adds", c64, c512) ]
+
+let fact_of = function
+  | Linsys.Fsparse f -> f
+  | Linsys.Fdense _ -> Alcotest.fail "expected a sparse factor"
+
+(* Reuse hands back the factor of bit-identical values, and only of
+   bit-identical values; its solves are a fresh factorization's *)
+let test_reuse_bit_exact () =
+  let rng = Rng.create 42 in
+  let c = dac 64 in
+  let size = Circuit.size c in
+  let x = Array.init size (fun _ -> Rng.uniform_range rng 0.0 1.0) in
+  let b = Array.init size (fun _ -> Rng.gaussian rng) in
+  let stamp sys ~gmin =
+    Stamp.eval c ~t:1e-7 ~gmin ~x ~g:(Vec.create size)
+      ~jac:(Some sys.Linsys.sink) ()
+  in
+  let sys = Linsys.make ~solver:Linsys.Sparse c in
+  stamp sys ~gmin:1e-3;
+  let f1 = fact_of (Linsys.factorize sys) in
+  stamp sys ~gmin:1e-3;
+  let f2 = fact_of (Linsys.factorize sys) in
+  Alcotest.(check bool) "same values: the same factor" true (f1 == f2);
+  let fresh = Linsys.make ~solver:Linsys.Sparse c in
+  stamp fresh ~gmin:1e-3;
+  let f3 = fact_of (Linsys.factorize fresh) in
+  Alcotest.(check bool) "a fresh system factors anew" true (f3 != f2);
+  Alcotest.(check bool) "reused solve = fresh solve, bit for bit" true
+    (Vec.bits_equal (Splu.solve f3 b) (Splu.solve f2 b));
+  Alcotest.(check bool) "reused transposed solve = fresh, bit for bit" true
+    (Vec.bits_equal (Splu.solve_transpose f3 b) (Splu.solve_transpose f2 b));
+  (* other values, then the first ones again: compared with the last
+     factor only, so a fresh replay — with the same bits as the first *)
+  stamp sys ~gmin:2e-3;
+  let f4 = fact_of (Linsys.factorize sys) in
+  stamp sys ~gmin:1e-3;
+  let f5 = fact_of (Linsys.factorize sys) in
+  Alcotest.(check bool) "new values: a new factor" true (f4 != f2 && f5 != f4);
+  Alcotest.(check bool) "back to the first values: a fresh replay" true
+    (f5 != f2 && Vec.bits_equal (Splu.solve f5 b) (Splu.solve f1 b));
+  (* bits, not (=): a zero of the other sign is other values, and a NaN
+     is the same value as itself *)
+  let v = (sparse_state sys).Linsys.pat.Csr.v in
+  let z = ref (-1) in
+  Array.iteri (fun p vp -> if !z < 0 && vp = 0.0 then z := p) v;
+  Alcotest.(check bool) "a stored zero" true (!z >= 0);
+  v.(!z) <- -.v.(!z);
+  let f6 = fact_of (Linsys.factorize sys) in
+  Alcotest.(check bool) "flipped zero sign: a new factor" true (f6 != f5);
+  v.(!z) <- Float.nan;
+  let f7 = fact_of (Linsys.factorize sys) in
+  let f8 = fact_of (Linsys.factorize sys) in
+  Alcotest.(check bool) "the same NaN bits: the same factor" true
+    (f7 != f6 && f8 == f7)
+
+(* A factor handed out is shared after reuse — the DAC's PSS steps hold
+   a few distinct factors between them — and never refilled: later
+   factorizations of the same system, at other values, leave every
+   kept step factor solving to the same bits *)
+let test_kept_factors_not_refilled () =
+  let rng = Rng.create 43 in
+  let freq = 1e6 in
+  let c = dac ~freq 64 in
+  let pss =
+    Pss.solve ~steps:16 ~solver:Linsys.Krylov c ~period:(1.0 /. freq)
+  in
+  let facts = Array.map fact_of pss.Pss.step_facts in
+  let distinct =
+    Array.fold_left
+      (fun acc f -> if List.memq f acc then acc else f :: acc)
+      [] facts
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "step factors shared (%d distinct of %d)"
+       (List.length distinct) (Array.length facts))
+    true
+    (List.length distinct < Array.length facts);
+  let size = Circuit.size c in
+  let b = Array.init size (fun _ -> Rng.gaussian rng) in
+  let before = Array.map (fun f -> Splu.solve f b) facts in
+  let sys = pss.Pss.sys in
+  List.iter
+    (fun gmin ->
+      let x = Array.init size (fun _ -> Rng.uniform_range rng 0.0 1.0) in
+      Stamp.eval c ~t:0.0 ~gmin ~x ~g:(Vec.create size)
+        ~jac:(Some sys.Linsys.sink) ();
+      ignore (Linsys.factorize sys : Linsys.rfact))
+    [ 1e-3; 2e-3; 1e-3 ];
+  ignore
+    (Tran.run ~solver:Linsys.Krylov c ~tstart:0.0 ~tstop:2e-7 ~dt:1e-8 ()
+      : Waveform.t);
+  Array.iteri
+    (fun k f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d factor solves to the same bits" (k + 1))
+        true
+        (Vec.bits_equal before.(k) (Splu.solve f b)))
+    facts
+
+(* The "linsys.splu" site is visited on every factorize call, reused or
+   not, so a visit-numbered schedule strikes the same call it did
+   before factors were reused.  The visit count, the degradation count
+   and the final PSS state's bits were read from the code without
+   reuse; the state is also the unfaulted run's. *)
+let test_reuse_keeps_fault_visits () =
+  let freq = 1e6 in
+  let c = dac ~freq 64 in
+  Faultsim.arm
+    [ { Faultsim.site = "linsys.splu"; visit = 3; fault = Faultsim.Singular 0 } ];
+  let d0 = Linsys.degradation_count () in
+  let pss, visits, degradations =
+    Fun.protect ~finally:Faultsim.disarm (fun () ->
+        let pss =
+          Pss.solve ~steps:16 ~solver:Linsys.Krylov c ~period:(1.0 /. freq)
+        in
+        (pss, Faultsim.visits "linsys.splu", Linsys.degradation_count () - d0))
+  in
+  Alcotest.(check int) "linsys.splu visits" 131 visits;
+  Alcotest.(check int) "degradations" 1 degradations;
+  let x = pss.Pss.states.(pss.Pss.steps) in
+  Alcotest.(check string) "final state bits"
+    "b1500c6176120c509b47248a0d062b10"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat " "
+             (Array.to_list
+                (Array.map
+                   (fun v -> Int64.to_string (Int64.bits_of_float v))
+                   x)))))
+
+(* The LPTV bank's reuse state is made afresh by every run of the loop
+   Retry.with_transients re-runs, so after an injected "lptv.factor"
+   fault the re-run factors and reuses what a clean build does, on top
+   of the aborted run's five steps.  The DAC is linear: one factor
+   serves every step *)
+let test_lptv_reuse_after_retry () =
+  let freq = 1e6 in
+  let c = dac ~freq 64 in
+  let pss =
+    Pss.solve ~steps:16 ~solver:Linsys.Krylov c ~period:(1.0 /. freq)
+  in
+  let counts faults =
+    Obs.enable ();
+    Faultsim.arm faults;
+    Fun.protect
+      ~finally:(fun () ->
+        Faultsim.disarm ();
+        Obs.disable ())
+      (fun () ->
+        let f0 = Obs.counter_value "lptv.fact.sparse"
+        and r0 = Obs.counter_value "lptv.fact.reused" in
+        ignore (Lptv.build ~solver:Linsys.Krylov pss ~f_offset:1.0 : Lptv.t);
+        ( Obs.counter_value "lptv.fact.sparse" - f0,
+          Obs.counter_value "lptv.fact.reused" - r0 ))
+  in
+  let clean = counts [] in
+  Alcotest.(check (pair int int)) "clean build: factored, reused" (1, 15) clean;
+  Alcotest.(check (pair int int))
+    "after a fault at visit 5: the aborted 1 + 4, then a clean build"
+    (fst clean + 1, snd clean + 4)
+    (counts
+       [ { Faultsim.site = "lptv.factor"; visit = 5;
+           fault = Faultsim.Exn "injected" } ])
 
 let () =
   Alcotest.run "sparse"
@@ -380,4 +609,16 @@ let () =
         :: [ Alcotest.test_case "pnoise totals" `Quick test_pnoise_parity;
              Alcotest.test_case "committed decks DC" `Quick test_deck_dc_parity;
            ] );
+      ( "slots and reuse",
+        [
+          Alcotest.test_case "slot map = Csr.index sum" `Quick
+            test_slot_map_parity;
+          Alcotest.test_case "reuse is bit-exact" `Quick test_reuse_bit_exact;
+          Alcotest.test_case "kept factors never refilled" `Quick
+            test_kept_factors_not_refilled;
+          Alcotest.test_case "fault visits unchanged" `Quick
+            test_reuse_keeps_fault_visits;
+          Alcotest.test_case "lptv reuse restarts with a retry" `Quick
+            test_lptv_reuse_after_retry;
+        ] );
     ]
