@@ -609,7 +609,7 @@ let () =
         :: [ Alcotest.test_case "pnoise totals" `Quick test_pnoise_parity;
              Alcotest.test_case "committed decks DC" `Quick test_deck_dc_parity;
            ] );
-      ( "slots and reuse",
+      ( "slots, reuse",
         [
           Alcotest.test_case "slot map = Csr.index sum" `Quick
             test_slot_map_parity;
