@@ -396,27 +396,30 @@ let adjoint_general t (c_add : int -> Cvec.t -> unit) : functional =
   Obs.count "lptv.adjoint_solves" 1;
   let ws = make_ws t.n in
   let lam = Array.init (t.m + 1) (fun _ -> Cvec.create t.n) in
-  let backward () =
+  (* [final] marks the pass that reads each λ_{k+1} in its final value:
+     the apply has just solved λ̃_{k+1} = M_{k+1}⁻ᵀ λ_{k+1} into ws.ct1,
+     with the factor and scratch the last loop below would use, so it
+     is kept over λ_{k+1}'s storage, which nothing reads again *)
+  let backward ~final =
     for k = t.m - 1 downto 1 do
       (* A_k maps p_k -> p_{k+1}, built from solvers.(k) (i.e. M_{k+1}) *)
       a_transpose_apply_into ws ~solvers:t.solvers ~cmul:t.cmul ~k:(k + 1)
         lam.(k + 1) lam.(k);
+      if final then Cvec.blit ws.ct1 lam.(k + 1);
       c_add k lam.(k)
     done
   in
   (* first pass with λ_m = 0 to get d_1 *)
-  backward ();
+  backward ~final:false;
   (* (I - Φᵀ) λ_m = c_m + A_0ᵀ d_1 *)
   let rhs = Cvec.create t.n in
   a_transpose_apply_into ws ~solvers:t.solvers ~cmul:t.cmul ~k:1 lam.(1) rhs;
   c_add t.m rhs;
   wrap_solve_transpose_into t ws rhs lam.(t.m);
-  backward ();
-  (* λ̃_k = M_k⁻ᵀ λ_k, written back over λ_k's storage *)
-  for k = 1 to t.m do
-    solve_step_transpose_into ws t.solvers ~k lam.(k) ws.ct1;
-    Cvec.blit ws.ct1 lam.(k)
-  done;
+  backward ~final:true;
+  (* λ̃_k for k = 2..m came out of the second pass; λ̃_1 = M_1⁻ᵀ λ_1 *)
+  solve_step_transpose_into ws t.solvers ~k:1 lam.(1) ws.ct1;
+  Cvec.blit ws.ct1 lam.(1);
   Array.sub lam 1 t.m
 
 let adjoint_harmonic t ~row ~harmonic =

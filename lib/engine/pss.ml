@@ -129,9 +129,12 @@ let krylov_delta ~c_over_h ~facts ~gws n (r : Vec.t) =
   in
   let apply (src : Cvec.t) (dst : Cvec.t) =
     sweep_half src.re dst.re;
+    (* all +0: a nonzero or NaN fails [<> 0.0], and a −0 has a
+       negative reciprocal (no [Float.sign_bit] C call per entry) *)
     let zero = ref true in
     for i = 0 to n - 1 do
-      if src.im.(i) <> 0.0 || Float.sign_bit src.im.(i) then zero := false
+      let z = src.im.(i) in
+      if z <> 0.0 || 1.0 /. z < 0.0 then zero := false
     done;
     if !zero then Vec.fill dst.im 0.0 else sweep_half src.im dst.im
   in

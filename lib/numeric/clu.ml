@@ -22,6 +22,13 @@ let[@inline] div_into qre qim i xr xi yr yi =
     Array.unsafe_set qim i (((r *. xi) -. xr) /. d)
   end
 
+(* [Float.hypot re im], calling C only when both parts are nonzero or
+   one is a NaN: [hypot(x, ±0)] is [fabs(x)] bit for bit (C Annex F) *)
+let[@inline] mag re im =
+  if im = 0.0 && re = re then Float.abs re
+  else if re = 0.0 && im = im then Float.abs im
+  else Float.hypot re im
+
 let factorize m =
   let n = Cmat.rows m in
   if Cmat.cols m <> n then invalid_arg "Clu.factorize: matrix not square";
@@ -29,14 +36,22 @@ let factorize m =
   let tol = 1e-13 *. Float.max scale 1e-300 in
   let lu = Cmat.copy m in
   let re = lu.Cmat.re and im = lu.Cmat.im in
-  let perm = Array.init n (fun i -> i) in
+  (* a loop, not Array.init's closure call per entry *)
+  let perm = Array.make n 0 in
+  for i = 1 to n - 1 do
+    perm.(i) <- i
+  done;
   for k = 0 to n - 1 do
+    (* the first largest modulus in column k at/below row k; the
+       leader's modulus is kept, not recomputed per row *)
     let piv = ref k in
+    let best = ref (mag re.((k * n) + k) im.((k * n) + k)) in
     for i = k + 1 to n - 1 do
-      if
-        Float.hypot re.((i * n) + k) im.((i * n) + k)
-        > Float.hypot re.((!piv * n) + k) im.((!piv * n) + k)
-      then piv := i
+      let a = mag re.((i * n) + k) im.((i * n) + k) in
+      if a > !best then begin
+        piv := i;
+        best := a
+      end
     done;
     if !piv <> k then begin
       for j = 0 to n - 1 do
@@ -52,7 +67,7 @@ let factorize m =
       perm.(!piv) <- t
     end;
     let pr = re.((k * n) + k) and pi = im.((k * n) + k) in
-    if Float.hypot pr pi < tol then raise (Singular k);
+    if mag pr pi < tol then raise (Singular k);
     (* indices below stay in [0, n) by construction, so the elimination
        inner loops skip bounds checks *)
     for i = k + 1 to n - 1 do

@@ -66,9 +66,23 @@ let tmul_vec m (x : Cvec.t) =
   done;
   y
 
+(* Cvec.norm_inf's scan, copied rather than called on a Cvec.t made of
+   the two arrays, which would allocate one per factorization.
+   [Float.hypot re im], calling C only when both parts are nonzero or
+   one is a NaN: [hypot(x, ±0)] is [fabs(x)] bit for bit (C Annex F) *)
+let[@inline] mag re im =
+  if im = 0.0 && re = re then Float.abs re
+  else if re = 0.0 && im = im then Float.abs im
+  else Float.hypot re im
+
+(* [Float.max acc a] for a modulus [a], compared inline: C
+   ([caml_signbit]) runs only for a NaN [a], exact as in Vec.norm_inf *)
+let[@inline] max_nonneg acc a =
+  if a > acc then a else if a <> a then Float.max acc a else acc
+
 let max_abs m =
   let s = ref 0.0 in
   for p = 0 to Array.length m.re - 1 do
-    s := Float.max !s (Float.hypot m.re.(p) m.im.(p))
+    s := max_nonneg !s (mag m.re.(p) m.im.(p))
   done;
   !s

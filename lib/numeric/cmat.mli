@@ -19,3 +19,7 @@ val tmul_vec : t -> Cvec.t -> Cvec.t
 (** Transpose (not conjugated) times vector. *)
 
 val max_abs : t -> float
+(** Largest modulus [Float.hypot re im] of an entry, [0.] for an empty
+    matrix.  A NaN part makes it NaN unless the other part is infinite:
+    the NaN, payload included, that a [Float.max] fold over
+    [Float.hypot] of the entries returns. *)

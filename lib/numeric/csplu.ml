@@ -36,12 +36,18 @@ exception Singular of int
 let plan_dim p = p.n
 let dim t = t.plan.n
 
-let default_tol (vals : Cvec.t) =
-  let scale = ref 0.0 in
-  for p = 0 to Cvec.dim vals - 1 do
-    scale := Float.max !scale (Float.hypot vals.re.(p) vals.im.(p))
-  done;
-  1e-13 *. Float.max !scale 1e-300
+(* [Float.hypot re im], calling C only when both parts are nonzero or
+   one is a NaN: [hypot(x, ±0)] is [fabs(x)] bit for bit (C Annex F).
+   A real plan's values carry a +0 imaginary part, so every modulus
+   it takes is an [abs]. *)
+let[@inline] mag re im =
+  if im = 0.0 && re = re then Float.abs re
+  else if re = 0.0 && im = im then Float.abs im
+  else Float.hypot re im
+
+(* inlined, so the one float boxed per call is Cvec.norm_inf's result *)
+let[@inline] default_tol (vals : Cvec.t) =
+  1e-13 *. Float.max (Cvec.norm_inf vals) 1e-300
 
 (* q <- x / y with Complex.div's branches and operation order; inlined,
    so the operands stay unboxed *)
@@ -216,7 +222,7 @@ let plan (csr : Csr.t) (vals : Cvec.t) =
     for ri = 0 to !nreach - 1 do
       let r = reach.(ri) in
       if pinv.(r) < 0 then begin
-        let a = Float.hypot xr.(r) xi.(r) in
+        let a = mag xr.(r) xi.(r) in
         if a > !amax then begin
           amax := a;
           arg := r
@@ -227,7 +233,7 @@ let plan (csr : Csr.t) (vals : Cvec.t) =
     let pr =
       if
         mark.(c) = j && pinv.(c) < 0
-        && Float.hypot xr.(c) xi.(c) >= Float.max (0.1 *. !amax) tol
+        && mag xr.(c) xi.(c) >= Float.max (0.1 *. !amax) tol
       then c
       else !arg
     in
@@ -306,7 +312,7 @@ let refactorize t ~(scratch : Cvec.t) (csr : Csr.t) (vals : Cvec.t) =
     done;
     let pr = p.prow.(j) in
     let pvr = xr.(pr) and pvi = xi.(pr) in
-    if Float.hypot pvr pvi < tol then raise (Singular p.q.(j));
+    if mag pvr pvi < tol then raise (Singular p.q.(j));
     t.dxr.(j) <- pvr;
     t.dxi.(j) <- pvi;
     xr.(pr) <- 0.0;

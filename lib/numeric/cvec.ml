@@ -98,10 +98,22 @@ let norm2 x =
   done;
   sqrt !s
 
+(* [Float.hypot re im], calling C only when both parts are nonzero or
+   one is a NaN: [hypot(x, ±0)] is [fabs(x)] bit for bit (C Annex F) *)
+let[@inline] mag re im =
+  if im = 0.0 && re = re then Float.abs re
+  else if re = 0.0 && im = im then Float.abs im
+  else Float.hypot re im
+
+(* [Float.max acc a] for a modulus [a], compared inline: C
+   ([caml_signbit]) runs only for a NaN [a], exact as in Vec.norm_inf *)
+let[@inline] max_nonneg acc a =
+  if a > acc then a else if a <> a then Float.max acc a else acc
+
 let norm_inf x =
   let m = ref 0.0 in
   for i = 0 to dim x - 1 do
-    m := Float.max !m (Float.hypot x.re.(i) x.im.(i))
+    m := max_nonneg !m (mag x.re.(i) x.im.(i))
   done;
   !m
 

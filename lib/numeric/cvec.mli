@@ -39,6 +39,8 @@ val dot : t -> t -> Cx.t
 
 val norm2 : t -> float
 val norm_inf : t -> float
+(** Largest modulus [Float.hypot re im], [0.] for the empty vector; a
+    NaN as the [Float.max] fold over [Float.hypot] returns it. *)
 
 val blit : t -> t -> unit
 (** [blit src dst] copies [src] into [dst] without allocating. *)

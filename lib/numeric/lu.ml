@@ -17,7 +17,11 @@ let factorize m =
   let scale = Mat.max_abs m in
   let tol = 1e-13 *. Float.max scale 1e-300 in
   let a = Array.copy m.Mat.a in
-  let perm = Array.init n (fun i -> i) in
+  (* a loop, not Array.init's closure call per entry *)
+  let perm = Array.make n 0 in
+  for i = 1 to n - 1 do
+    perm.(i) <- i
+  done;
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* partial pivoting: find the largest entry in column k at/below row k *)

@@ -126,28 +126,9 @@ let tmul_vec m x =
 let row m i = Array.init m.c (fun j -> get m i j)
 let col m j = Array.init m.r (fun i -> get m i j)
 
-let norm_inf m =
-  let best = ref 0.0 in
-  for i = 0 to m.r - 1 do
-    let s = ref 0.0 in
-    for j = 0 to m.c - 1 do
-      s := !s +. Float.abs (get m i j)
-    done;
-    best := Float.max !best !s
-  done;
-  !best
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 m.a)
-
-(* a loop, not a fold, so no entry is boxed; Float.max keeps a NaN, so a
-   NaN entry turns Lu's singular test off *)
-let max_abs m =
-  let s = ref 0.0 in
-  for p = 0 to Array.length m.a - 1 do
-    s := Float.max !s (Float.abs m.a.(p))
-  done;
-  !s
+(* Vec's scan over the packed entries, one call per matrix; a NaN
+   entry makes the scale NaN, which turns Lu's singular test off *)
+let max_abs m = Vec.norm_inf m.a
 
 let pp ppf m =
   Format.fprintf ppf "@[<v>";

@@ -64,11 +64,9 @@ val row : t -> int -> Vec.t
 
 val col : t -> int -> Vec.t
 
-val norm_inf : t -> float
-(** Maximum absolute row sum. *)
-
-val frobenius : t -> float
-
 val max_abs : t -> float
+(** Largest [|m(i,j)|], [0.] for an empty matrix.  A NaN entry makes it
+    NaN: the NaN, payload included, that a [Float.max] fold over the
+    [Float.abs] of the entries returns. *)
 
 val pp : Format.formatter -> t -> unit

@@ -17,13 +17,20 @@ exception Singular = Csplu.Singular
 let dim t = t.plan.n
 let nnz_lu t = Array.length t.ux + Array.length t.lx + Array.length t.dx
 
-(* a loop, not a fold, so no value is boxed; Float.max keeps a NaN, so
-   a NaN value makes the tolerance NaN and turns the singular test off *)
+(* Vec.norm_inf's scan, copied rather than called: its float result
+   would be boxed, and a replay allocates nothing.  [Float.max acc a]
+   for an [abs] result [a], compared inline: C ([caml_signbit]) runs
+   only for a NaN [a], exact as in Vec.norm_inf *)
+let[@inline] max_nonneg acc a =
+  if a > acc then a else if a <> a then Float.max acc a else acc
+
+(* a NaN value makes the tolerance NaN, which turns the singular test
+   off *)
 let[@inline] default_tol (csr : Csr.t) =
   let v = csr.Csr.v in
   let scale = ref 0.0 in
   for p = 0 to Array.length v - 1 do
-    scale := Float.max !scale (Float.abs v.(p))
+    scale := max_nonneg !scale (Float.abs v.(p))
   done;
   1e-13 *. Float.max !scale 1e-300
 

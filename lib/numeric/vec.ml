@@ -57,11 +57,19 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-(* Float.max keeps a NaN, so a NaN entry makes the norm NaN *)
+(* [Float.max acc a] for an [a] that is an [abs] result (+0 upward, or
+   a NaN), compared inline: [Float.max] calls C ([caml_signbit])
+   whenever its [a > acc] fails.  For a non-NaN [a] it is [a] if
+   [a > acc] and [acc] otherwise, for every [acc] the fold can hold
+   (+0 upward, or a NaN of either sign).  A NaN [a] still goes to
+   [Float.max], so the NaN that survives is the one it keeps. *)
+let[@inline] max_nonneg acc a =
+  if a > acc then a else if a <> a then Float.max acc a else acc
+
 let norm_inf x =
   let m = ref 0.0 in
   for i = 0 to Array.length x - 1 do
-    m := Float.max !m (Float.abs x.(i))
+    m := max_nonneg !m (Float.abs x.(i))
   done;
   !m
 
@@ -69,18 +77,24 @@ let dist_inf x y =
   check_dim x y;
   let m = ref 0.0 in
   for i = 0 to Array.length x - 1 do
-    m := Float.max !m (Float.abs (x.(i) -. y.(i)))
+    m := max_nonneg !m (Float.abs (x.(i) -. y.(i)))
   done;
   !m
+
+(* [a = b] means equal bits unless both are zeros, whose signs [1/z]
+   tells apart; [a <> b] means different bits unless both are NaNs,
+   whose payloads only [Int64.bits_of_float] (a C call) compares *)
+let[@inline] same_bits a b =
+  if a = b then a <> 0.0 || 1.0 /. a = 1.0 /. b
+  else
+    a <> a && b <> b
+    && Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let bits_equal x y =
   Array.length x = Array.length y
   &&
   let i = ref 0 in
-  while
-    !i < Array.length x
-    && Int64.equal (Int64.bits_of_float x.(!i)) (Int64.bits_of_float y.(!i))
-  do
+  while !i < Array.length x && same_bits x.(!i) y.(!i) do
     incr i
   done;
   !i = Array.length x

@@ -38,6 +38,9 @@ val norm2 : t -> float
 (** Euclidean norm. *)
 
 val norm_inf : t -> float
+(** Largest [|x.(i)|], [0.] for the empty vector.  A NaN entry makes
+    it NaN: the NaN, payload included, that a [Float.max] fold over
+    the [Float.abs] of the entries returns. *)
 
 val dist_inf : t -> t -> float
 (** [dist_inf x y] is [norm_inf (sub x y)] without the allocation. *)

@@ -180,6 +180,173 @@ let test_clu_transpose () =
   let residual = Cvec.sub (Cmat.tmul_vec a x) b in
   Alcotest.(check bool) "clu transpose solve" true (Cvec.norm_inf residual < 1e-9)
 
+(* ---------------------------------------------------------------- scans *)
+
+(* The max scans compare inline and call Float.max only for a NaN; the
+   oracles are the folds they replaced, compared bit for bit, so the
+   NaN a scan returns must be the fold's, payload included. *)
+
+let bits = Int64.bits_of_float
+let of_bits = Int64.float_of_bits
+
+(* ±0, ±inf, ± the smallest subnormal, ±max_float, NaNs of both signs
+   with two payloads each, and two plain values *)
+let specials =
+  [| 0.0; -0.0; Float.infinity; Float.neg_infinity; of_bits 1L;
+     -.of_bits 1L; Float.max_float; -.Float.max_float;
+     of_bits 0x7ff8000000000001L; of_bits 0x7ff8000000000abcL;
+     of_bits 0xfff8000000000001L; of_bits 0xfff8000000000abcL; 1.5; -2.25 |]
+
+(* half the entries from [specials], half random bit patterns *)
+let draw st =
+  if Random.State.bool st then
+    specials.(Random.State.int st (Array.length specials))
+  else of_bits (Random.State.bits64 st)
+
+let draws st = Array.init (Random.State.int st 24) (fun _ -> draw st)
+
+let max_fold f a =
+  Array.fold_left (fun acc v -> Float.max acc (f v)) 0.0 a
+
+(* a −NaN before a +NaN, and each NaN payload before the other *)
+let nan_orders =
+  [ [| of_bits 0xfff8000000000001L; of_bits 0x7ff8000000000abcL |];
+    [| 1.0; of_bits 0x7ff8000000000abcL; 2.0; of_bits 0xfff8000000000001L |];
+    [| of_bits 0x7ff8000000000001L; Float.infinity;
+       of_bits 0xfff8000000000abcL |] ]
+
+let test_real_max_scans () =
+  let st = Random.State.make [| 41 |] in
+  let check x y =
+    check_bits "Vec.norm_inf" (bits (max_fold Float.abs x)) (Vec.norm_inf x);
+    check_bits "Vec.dist_inf"
+      (bits (max_fold Float.abs (Array.map2 ( -. ) x y)))
+      (Vec.dist_inf x y);
+    let n = Array.length x in
+    let m = Mat.init 1 n (fun _ j -> x.(j)) in
+    check_bits "Mat.max_abs" (bits (max_fold Float.abs x)) (Mat.max_abs m)
+  in
+  List.iter (fun x -> check x (Array.map Float.neg x)) nan_orders;
+  for _ = 1 to 3000 do
+    let x = draws st in
+    check x (Array.map (fun _ -> draw st) x)
+  done
+
+let test_complex_max_scans () =
+  let st = Random.State.make [| 42 |] in
+  let check re im =
+    let n = Array.length re in
+    let oracle = ref 0.0 in
+    for i = 0 to n - 1 do
+      oracle := Float.max !oracle (Float.hypot re.(i) im.(i))
+    done;
+    let z = Cvec.init n (fun i -> Cx.mk re.(i) im.(i)) in
+    check_bits "Cvec.norm_inf" (bits !oracle) (Cvec.norm_inf z);
+    let m = Cmat.init n 1 (fun i _ -> Cx.mk re.(i) im.(i)) in
+    check_bits "Cmat.max_abs" (bits !oracle) (Cmat.max_abs m)
+  in
+  List.iter (fun x -> check x (Array.map (fun _ -> 0.0) x)) nan_orders;
+  (* one part ±0, the other NaN, inf or subnormal, in both places *)
+  let others =
+    [| of_bits 0x7ff8000000000abcL; of_bits 0xfff8000000000001L;
+       Float.infinity; Float.neg_infinity; of_bits 1L; -.of_bits 1L |]
+  in
+  Array.iter
+    (fun z ->
+      Array.iter
+        (fun o ->
+          check [| z; 3.0; o |] [| o; 4.0; z |];
+          check [| o; z |] [| z; o |])
+        others)
+    [| 0.0; -0.0 |];
+  for _ = 1 to 3000 do
+    let re = draws st in
+    check re (Array.map (fun _ -> draw st) re)
+  done
+
+(* the loop Vec.bits_equal replaced *)
+let bits_loop x y =
+  Array.length x = Array.length y
+  && Array.for_all2 (fun a b -> Int64.equal (bits a) (bits b)) x y
+
+let test_bits_equal () =
+  let st = Random.State.make [| 43 |] in
+  let check x y =
+    Alcotest.(check bool) "Vec.bits_equal = the bits loop" (bits_loop x y)
+      (Vec.bits_equal x y)
+  in
+  for _ = 1 to 3000 do
+    let x = draws st in
+    let y = Array.copy x in
+    check x y;
+    if Array.length x > 0 then begin
+      let i = Random.State.int st (Array.length x) in
+      (* a zero's sign only, a NaN's payload only, or a random entry *)
+      (match Random.State.int st 3 with
+       | 0 -> x.(i) <- 0.0; y.(i) <- -0.0
+       | 1 ->
+         x.(i) <- of_bits 0x7ff8000000000001L;
+         y.(i) <- of_bits 0x7ff8000000000abcL
+       | _ -> y.(i) <- draw st);
+      check x y;
+      check y x;
+      check x (Array.sub y 0 i)
+    end
+  done
+
+(* A NaN value makes the singular tolerance NaN, so no pivot fails it:
+   the dense complex factorization and the sparse replays of a plan made
+   from finite values run to the end, as Lu does (test_lu_singular).  The
+   4x4 has column 2 = column 0 + column 1. *)
+let test_nan_singular_off () =
+  let rows =
+    [| [| 1.0; 2.0; 3.0; 4.0 |]; [| 2.0; 1.0; 3.0; 5.0 |];
+       [| 3.0; 5.0; 8.0; 1.0 |]; [| 4.0; 4.0; 8.0; 2.0 |] |]
+  in
+  let a = Mat.of_arrays rows in
+  let expect_singular name f =
+    match f () with
+    | () ->
+      Alcotest.failf "%s: finite rank-deficient values not singular" name
+    | exception (Clu.Singular _ | Splu.Singular _) -> ()
+  in
+  let expect_runs name f =
+    match f () with
+    | () -> ()
+    | exception (Clu.Singular k | Splu.Singular k) ->
+      Alcotest.failf "%s with a NaN entry: Singular %d, expected no test"
+        name k
+  in
+  let cm () =
+    Cmat.init 4 4 (fun i j -> Cx.mk rows.(i).(j) (0.5 *. rows.(i).(j)))
+  in
+  expect_singular "Clu" (fun () -> ignore (Clu.factorize (cm ())));
+  let m = cm () in
+  m.Cmat.re.(15) <- Float.nan;
+  expect_runs "Clu" (fun () -> ignore (Clu.factorize m));
+  (* plans from the well-conditioned a + 10·I, same full pattern *)
+  let good =
+    Csr.of_dense
+      (Mat.init 4 4 (fun i j -> Mat.get a i j +. if i = j then 10.0 else 0.0))
+  in
+  let sing = Csr.of_dense a in
+  let plan = Splu.plan good in
+  expect_singular "Splu" (fun () -> ignore (Splu.factorize plan sing));
+  let nan_csr = Csr.copy sing in
+  nan_csr.Csr.v.(15) <- Float.nan;
+  expect_runs "Splu" (fun () -> ignore (Splu.factorize plan nan_csr));
+  let cvals (csr : Csr.t) =
+    Cvec.init (Csr.nnz csr) (fun p ->
+        let v = csr.Csr.v.(p) in
+        Cx.mk v (0.5 *. v))
+  in
+  let cplan = Csplu.plan good (cvals good) in
+  expect_singular "Csplu" (fun () ->
+      ignore (Csplu.factorize cplan sing (cvals sing)));
+  let nan_vals = cvals sing in
+  nan_vals.Cvec.re.(15) <- Float.nan;
+  expect_runs "Csplu" (fun () -> ignore (Csplu.factorize cplan sing nan_vals))
+
 (* ------------------------------------- allocation-free kernel variants *)
 
 (* the _into kernels must be drop-in replacements on the hot paths, so
@@ -831,6 +998,16 @@ let () =
         [
           Alcotest.test_case "solve" `Quick test_clu_solve;
           Alcotest.test_case "transpose solve" `Quick test_clu_transpose;
+        ] );
+      ( "scans",
+        [
+          Alcotest.test_case "real max = Float.max fold" `Quick
+            test_real_max_scans;
+          Alcotest.test_case "complex max = Float.max fold" `Quick
+            test_complex_max_scans;
+          Alcotest.test_case "bits_equal = bits loop" `Quick test_bits_equal;
+          Alcotest.test_case "NaN turns singular tests off" `Quick
+            test_nan_singular_off;
         ] );
       ( "into-kernels",
         [
