@@ -12,7 +12,7 @@
                                  journal; docs/robustness.md)
      varsim worker ...           internal: one supervised sweep point
      varsim serve                job daemon on a Unix socket with a
-                                 content-addressed result/state cache
+                                 content-addressed result cache
                                  (docs/serving.md)
      varsim submit <deck.sp>     send a deck to a running daemon
      varsim top                  live one-screen daemon view (or --prom:
@@ -135,8 +135,7 @@ let cache_dir_arg =
 
 let mem_cache_arg =
   Arg.(value & opt int 32 & info [ "mem-cache" ] ~docv:"N"
-         ~doc:"In-memory cache capacity, in entries per tier (LRU \
-               eviction)")
+         ~doc:"In-memory cache capacity, in entries (LRU eviction)")
 
 (* An unusable cache directory degrades to compute-through with a
    warning, never a failure: caching is an accelerator, not a

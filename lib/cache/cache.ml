@@ -1,26 +1,17 @@
-(* The two-tier content-addressed cache handle: an in-memory LRU in
-   front of an optional on-disk store.  Keys are fingerprints
-   (Fingerprint / Plan_key digests plus typed suffixes); payloads are
-   bytes — rendered analysis output, or float vectors encoded exactly
-   (raw IEEE-754 bits as hex) for PSS warm starts and PNOISE transfer
-   maps.  docs/serving.md documents keys, eviction and provenance. *)
+(* The content-addressed result cache: an in-memory LRU in front of an
+   optional on-disk store.  Keys are job fingerprints with a "|result"
+   suffix; payloads are the rendered analysis output.  docs/serving.md
+   documents keys, eviction and provenance. *)
 
 type t = {
   results : string Lru.t;
-  floats : float array Lru.t;
   disk : Cache_store.t option;
   meta : string;
 }
 
 let create ?(mem_capacity = 32) ?dir ?(meta = "") () =
   let mk disk =
-    Ok
-      {
-        results = Lru.create ~capacity:mem_capacity "result";
-        floats = Lru.create ~capacity:mem_capacity "state";
-        disk;
-        meta;
-      }
+    Ok { results = Lru.create ~capacity:mem_capacity "result"; disk; meta }
   in
   match dir with
   | None -> mk None
@@ -31,9 +22,6 @@ let create ?(mem_capacity = 32) ?dir ?(meta = "") () =
 
 let meta t = t.meta
 let has_disk t = t.disk <> None
-
-(* ------------------------------------------------------------------ *)
-(* byte payloads (rendered analysis results) *)
 
 let find_result t key =
   match Lru.find t.results key with
@@ -53,55 +41,3 @@ let put_result t key payload =
   match t.disk with
   | None -> ()
   | Some store -> Cache_store.put store ~key ~meta:t.meta payload
-
-(* ------------------------------------------------------------------ *)
-(* float-vector payloads (warm-start states, transfer maps)
-
-   Encoded as 16 hex chars per float from Int64.bits_of_float: exact
-   for every binary64 including negative zero, infinities and NaN
-   payloads, byte-stable across platforms, and trivially checkable by
-   the truncation property test (any cut produces a length that no
-   longer matches). *)
-
-let floats_to_bytes xs =
-  let b = Buffer.create ((Array.length xs * 16) + 1) in
-  Array.iter
-    (fun v -> Buffer.add_string b (Printf.sprintf "%016Lx" (Int64.bits_of_float v)))
-    xs;
-  Buffer.contents b
-
-let floats_of_bytes s =
-  let n = String.length s in
-  if n mod 16 <> 0 then None
-  else
-    match
-      Array.init (n / 16) (fun i ->
-          Int64.float_of_bits
-            (Int64.of_string ("0x" ^ String.sub s (i * 16) 16)))
-    with
-    | xs -> Some xs
-    | exception Failure _ -> None
-
-let find_floats t key =
-  match Lru.find t.floats key with
-  | Some _ as hit -> hit
-  | None -> (
-    match t.disk with
-    | None -> None
-    | Some store -> (
-      match Cache_store.get store ~key with
-      | None -> None
-      | Some payload -> (
-        match floats_of_bytes payload with
-        | Some xs as hit ->
-          Lru.put t.floats key xs;
-          hit
-        | None ->
-          Obs.count "cache.disk.corrupt" 1;
-          None)))
-
-let put_floats t key xs =
-  Lru.put t.floats key xs;
-  match t.disk with
-  | None -> ()
-  | Some store -> Cache_store.put store ~key ~meta:t.meta (floats_to_bytes xs)

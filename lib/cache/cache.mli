@@ -1,23 +1,21 @@
-(** Two-tier content-addressed cache: an in-memory {!Lru} in front of
-    an optional durable {!Cache_store}.
+(** Content-addressed result cache: an in-memory {!Lru} in front of an
+    optional durable {!Cache_store}.
 
-    One handle serves all the typed layers of the job pipeline
-    (docs/serving.md): rendered analysis results keyed on job
-    fingerprints, converged PSS states (warm-start initial conditions),
-    and PNOISE transfer maps — each under a typed key suffix so layers
-    never collide.  Hits, misses and evictions surface as
-    [cache.result.*], [cache.state.*] and [cache.disk.*] counters in
-    [--metrics]. *)
+    It holds the rendered analysis results of the job pipeline
+    (docs/serving.md), keyed on job fingerprints.  A job either replays
+    its stored bytes or computes from scratch.  Hits, misses and
+    evictions surface as [cache.result.*] and [cache.disk.*] counters
+    in [--metrics]. *)
 
 type t
 
 val create :
   ?mem_capacity:int -> ?dir:string -> ?meta:string -> unit ->
   (t, string) result
-(** [create ()] is memory-only (capacity 32 entries per tier); [dir]
-    adds the durable store (created as needed — [Error] on an unusable
-    path); [meta] is the provenance string stamped into every entry
-    written to disk (see [Version.provenance]). *)
+(** [create ()] is memory-only (capacity 32 entries); [dir] adds the
+    durable store (created as needed — [Error] on an unusable path);
+    [meta] is the provenance string stamped into every entry written to
+    disk (see [Version.provenance]). *)
 
 val meta : t -> string
 val has_disk : t -> bool
@@ -27,15 +25,3 @@ val find_result : t -> string -> string option
     hit repopulates memory). *)
 
 val put_result : t -> string -> string -> unit
-
-val find_floats : t -> string -> float array option
-(** Exact float-vector lookup (same two-tier path). *)
-
-val put_floats : t -> string -> float array -> unit
-
-val floats_to_bytes : float array -> string
-(** Exact codec: 16 hex chars of IEEE-754 bits per float — bit-stable
-    round trip for every binary64 value.  Exposed for tests. *)
-
-val floats_of_bytes : string -> float array option
-(** [None] on any malformed input (including truncation). *)

@@ -111,11 +111,17 @@ let encode ~key ~meta payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
+(* each write gets its own tmp file: lanes of one process that store
+   the same key would otherwise share one, and the loser's rename would
+   fail as a spurious write error *)
+let tmp_seq = Atomic.make 0
+
 let write_atomic path bytes =
   let dir = Filename.dirname path in
   let tmp =
     Filename.concat dir
-      (Printf.sprintf ".tmp.%d.%s" (Unix.getpid ()) (Filename.basename path))
+      (Printf.sprintf ".tmp.%d.%d.%s" (Unix.getpid ())
+         (Atomic.fetch_and_add tmp_seq 1) (Filename.basename path))
   in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   (match

@@ -10,7 +10,7 @@ type 'a entry = { value : 'a; mutable stamp : int }
 
 type 'a t = {
   name : string; (* counter prefix: cache.<name>.{hits,misses,evictions} *)
-  mutable capacity : int;
+  capacity : int;
   table : (string, 'a entry) Hashtbl.t;
   mutable clock : int;
   mutex : Mutex.t;
@@ -70,19 +70,4 @@ let put t key value =
         Hashtbl.add t.table key { value; stamp = tick t }
       end)
 
-let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
 let length t = locked t (fun () -> Hashtbl.length t.table)
-
-let clear t = locked t (fun () -> Hashtbl.reset t.table)
-
-let set_capacity t capacity =
-  locked t (fun () ->
-      t.capacity <- Stdlib.max 0 capacity;
-      if t.capacity = 0 then Hashtbl.reset t.table
-      else
-        while Hashtbl.length t.table > t.capacity do
-          evict_lru t
-        done)
-
-let keys t =
-  locked t (fun () -> Hashtbl.fold (fun k _ acc -> k :: acc) t.table [])

@@ -20,15 +20,4 @@ val put : 'a t -> string -> 'a -> unit
 (** Insert or replace; evicts the least-recently-used entry when at
     capacity. *)
 
-val mem : 'a t -> string -> bool
-(** Membership without touching recency or counters. *)
-
 val length : 'a t -> int
-val clear : 'a t -> unit
-
-val set_capacity : 'a t -> int -> unit
-(** Shrinking evicts LRU-first down to the new capacity; 0 empties and
-    disables. *)
-
-val keys : 'a t -> string list
-(** Current keys, unordered — for tests. *)

@@ -4,7 +4,6 @@ type pss_context = {
   sources : Pnoise.source array;
   policy : Retry.policy;
   budget : Budget.t option;
-  cache : (Cache.t * string) option;
 }
 
 let timed f =
@@ -12,82 +11,13 @@ let timed f =
   let y = f () in
   (y, Unix.gettimeofday () -. t0)
 
-let prepare ?(steps = 200) ?(f_offset = 1.0) ?warmup_periods
-    ?(policy = Retry.default) ?budget ?cache circuit ~period =
+let prepare ?(steps = 200) ?(f_offset = 1.0) ?(policy = Retry.default) ?budget
+    circuit ~period =
   Obs.span "analysis.prepare" @@ fun () ->
-  (* the converged shooting state is the expensive part of a PSS solve:
-     with a cached states.(0) for this exact (circuit, knobs) key the
-     warm solve skips DC + warmup, replays the single deterministic
-     sweep from the stored state and verifies the residual at iteration
-     zero — bit-identical to the cold solve's final pass, with the
-     verification guarding against a stale entry *)
-  let state_key prefix = prefix ^ "|pss-state" in
-  let n = Circuit.size circuit in
-  let x0 =
-    match cache with
-    | None -> None
-    | Some (c, prefix) -> (
-      match Cache.find_floats c (state_key prefix) with
-      | Some xs when Array.length xs = n -> Some xs
-      | Some _ | None -> None)
-  in
-  let pss =
-    Pss.solve ~steps ?warmup_periods ~policy ?budget ?x0 circuit ~period
-  in
-  (match cache, x0 with
-   | Some (c, prefix), None ->
-     Cache.put_floats c (state_key prefix) (Array.copy pss.Pss.states.(0))
-   | _ -> ());
+  let pss = Pss.solve ~steps ~policy ?budget circuit ~period in
   let lptv = Lptv.build ~policy ?budget pss ~f_offset in
   let sources = Pnoise.mismatch_sources lptv in
-  { pss; lptv; sources; policy; budget; cache }
-
-(* PNOISE sidebands flatten losslessly to a float array (every float
-   round-trips through the cache's hex codec bit-exactly):
-   [| total_psd; f_offset; harmonic; re0; im0; share0; re1; ... |] —
-   contributions are reconstructed against [ctx.sources], which is in
-   {!Circuit.mismatch_params} order for both the writer and the reader
-   of a given fingerprint.  A length mismatch (source count changed
-   under the same key — should be impossible, but cheap to check) is a
-   miss. *)
-let cached_sideband ctx ~tag ~output compute =
-  match ctx.cache with
-  | None -> compute ()
-  | Some (c, prefix) ->
-    let key = Printf.sprintf "%s|pnoise|%s|%s" prefix tag output in
-    let n = Array.length ctx.sources in
-    let decode xs =
-      if Array.length xs <> 3 + (3 * n) then None
-      else
-        let contributions =
-          Array.mapi
-            (fun i src ->
-              let b = 3 + (3 * i) in
-              { Pnoise.source = src;
-                transfer = Cx.mk xs.(b) xs.(b + 1);
-                share = xs.(b + 2) })
-            ctx.sources
-        in
-        Some { Pnoise.output; harmonic = int_of_float xs.(2);
-               f_offset = xs.(1); total_psd = xs.(0); contributions }
-    in
-    (match Option.bind (Cache.find_floats c key) decode with
-     | Some sb -> sb
-     | None ->
-       let sb = compute () in
-       let xs = Array.make (3 + (3 * n)) 0.0 in
-       xs.(0) <- sb.Pnoise.total_psd;
-       xs.(1) <- sb.Pnoise.f_offset;
-       xs.(2) <- float_of_int sb.Pnoise.harmonic;
-       Array.iteri
-         (fun i (cb : Pnoise.contribution) ->
-           let b = 3 + (3 * i) in
-           xs.(b) <- cb.Pnoise.transfer.Cx.re;
-           xs.(b + 1) <- cb.Pnoise.transfer.Cx.im;
-           xs.(b + 2) <- cb.Pnoise.share)
-         sb.Pnoise.contributions;
-       Cache.put_floats c key xs;
-       sb)
+  { pss; lptv; sources; policy; budget }
 
 let params_of ctx = Circuit.mismatch_params ctx.pss.Pss.circuit
 
@@ -105,9 +35,8 @@ let dc_variation ctx ~output =
   let (sb, nominal), runtime =
     timed (fun () ->
         let sb =
-          cached_sideband ctx ~tag:"h0" ~output (fun () ->
-              Pnoise.analyze ~policy:ctx.policy ?budget:ctx.budget ctx.lptv
-                ~output ~harmonic:0 ~sources:ctx.sources)
+          Pnoise.analyze ~policy:ctx.policy ?budget:ctx.budget ctx.lptv
+            ~output ~harmonic:0 ~sources:ctx.sources
         in
         let samples = Pss.node_samples ctx.pss output in
         let nominal = Stats.mean samples in
@@ -177,9 +106,8 @@ let delay_variation ctx ~output ~crossing =
   let (k_c, t_c, slope), _ = timed (fun () -> locate_crossing ctx ~output ~crossing) in
   let sb, runtime =
     timed (fun () ->
-        cached_sideband ctx ~tag:(Printf.sprintf "k%d" k_c) ~output (fun () ->
-            Pnoise.analyze_sample ~policy:ctx.policy ?budget:ctx.budget
-              ctx.lptv ~output ~k:k_c ~sources:ctx.sources))
+        Pnoise.analyze_sample ~policy:ctx.policy ?budget:ctx.budget ctx.lptv
+          ~output ~k:k_c ~sources:ctx.sources)
   in
   (* a voltage perturbation Δv at the crossing shifts the edge by
      -Δv/slope *)
@@ -192,9 +120,8 @@ let delay_variation ctx ~output ~crossing =
 let delay_variation_psd ctx ~output =
   Obs.span "analysis.delay_variation_psd" @@ fun () ->
   let sb =
-    cached_sideband ctx ~tag:"h1" ~output (fun () ->
-        Pnoise.analyze ~policy:ctx.policy ?budget:ctx.budget ctx.lptv ~output
-          ~harmonic:1 ~sources:ctx.sources)
+    Pnoise.analyze ~policy:ctx.policy ?budget:ctx.budget ctx.lptv ~output
+      ~harmonic:1 ~sources:ctx.sources
   in
   let amplitude = Pss.amplitude ctx.pss output in
   let f0 = 1.0 /. ctx.pss.Pss.period in

@@ -12,13 +12,10 @@ type pss_context = {
   sources : Pnoise.source array;
   policy : Retry.policy; (** fallback policy the readings run under *)
   budget : Budget.t option; (** budget shared by all phases of the run *)
-  cache : (Cache.t * string) option;
-      (** warm-start cache and the key prefix readings file under *)
 }
 
-val prepare : ?steps:int -> ?f_offset:float -> ?warmup_periods:int ->
-  ?policy:Retry.policy -> ?budget:Budget.t ->
-  ?cache:Cache.t * string -> Circuit.t -> period:float -> pss_context
+val prepare : ?steps:int -> ?f_offset:float -> ?policy:Retry.policy ->
+  ?budget:Budget.t -> Circuit.t -> period:float -> pss_context
 (** Solve the driven PSS and build the LPTV context with the mismatch
     pseudo-noise sources (offset frequency default 1 Hz).  The LPTV
     build and the PNOISE readings made with the context run on the
@@ -27,18 +24,7 @@ val prepare : ?steps:int -> ?f_offset:float -> ?warmup_periods:int ->
     ({!Linsys.solver_for}, docs/solver.md).  [policy] and
     [budget] thread through every phase — PSS, LPTV build, and the
     subsequent readings made with this context (docs/robustness.md);
-    expiry raises {!Budget.Timed_out}.
-
-    [cache] is a {!Cache} handle plus a key prefix that MUST already
-    encode the circuit fingerprint and every knob that shapes the
-    solution (steps, period, f_offset) — see
-    {!Spice_job} for the canonical construction.  With it, the PSS
-    solve warm-starts from the cached converged state (re-verifying the
-    residual, so a stale entry just falls back to the cold path) and
-    the PNOISE sidebands read by {!dc_variation} / {!delay_variation} /
-    {!delay_variation_psd} are replayed from cached transfer maps.
-    Outputs are bit-identical either way; hits show up only as speed
-    and in the ["cache.*"] counters (docs/serving.md). *)
+    expiry raises {!Budget.Timed_out}. *)
 
 val dc_variation : pss_context -> output:string -> Report.t
 (** §V-A: variation of the DC (cycle-average) component of a node —

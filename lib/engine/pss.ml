@@ -144,8 +144,7 @@ let krylov_delta ~c_over_h ~facts ~gws n (r : Vec.t) =
   if stats.Gmres.converged then Some (Cvec.real x) else None
 
 let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
-    ?(policy = Retry.default) ?budget ?x0 ?(warmup_periods = 2) circuit ~period
-    =
+    ?(policy = Retry.default) ?budget ?(warmup_periods = 2) circuit ~period =
   Obs.span "pss.solve" @@ fun () ->
   Obs.count "pss.solves" 1;
   let solver =
@@ -155,21 +154,18 @@ let solve ?(steps = 200) ?(max_iter = 40) ?(tol = 1e-7) ?solver
   let c_mat = Linsys.c_matrix sys circuit in
   let tran_options = Tran.default_options in
   let x_init =
-    match x0 with
-    | Some x -> Vec.copy x
-    | None ->
-      let dc = Dc.solve ~solver ~policy ?budget circuit in
-      if warmup_periods <= 0 then dc
-      else begin
-        let w =
-          Tran.run ~solver ~policy ?budget ~x0:dc ~record:false circuit
-            ~tstart:0.0
-            ~tstop:(period *. float_of_int warmup_periods)
-            ~dt:(period /. float_of_int steps)
-            ()
-        in
-        w.Waveform.states.(Array.length w.Waveform.states - 1)
-      end
+    let dc = Dc.solve ~solver ~policy ?budget circuit in
+    if warmup_periods <= 0 then dc
+    else begin
+      let w =
+        Tran.run ~solver ~policy ?budget ~x0:dc ~record:false circuit
+          ~tstart:0.0
+          ~tstop:(period *. float_of_int warmup_periods)
+          ~dt:(period /. float_of_int steps)
+          ()
+      in
+      w.Waveform.states.(Array.length w.Waveform.states - 1)
+    end
   in
   let n = Vec.dim x_init in
   (* sticky per-solve flag: a GMRES stagnation drops the rest of this

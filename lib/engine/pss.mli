@@ -42,8 +42,8 @@ val sweep :
 
 val solve :
   ?steps:int -> ?max_iter:int -> ?tol:float -> ?solver:Linsys.solver ->
-  ?policy:Retry.policy -> ?budget:Budget.t -> ?x0:Vec.t ->
-  ?warmup_periods:int -> Circuit.t -> period:float -> t
+  ?policy:Retry.policy -> ?budget:Budget.t -> ?warmup_periods:int ->
+  Circuit.t -> period:float -> t
 (** [solve c ~period] computes the PSS.  The initial guess is the DC
     point integrated for [warmup_periods] (default 2) periods.
     [steps] defaults to 200.  A sweep or shooting loop that stalls is

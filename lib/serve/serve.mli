@@ -34,7 +34,7 @@
 type config = {
   socket_path : string;
   lanes : int;  (** concurrent job lanes (domains) *)
-  cache : Cache.t option;  (** shared result/state cache *)
+  cache : Cache.t option;  (** result cache the lanes share *)
   default_budget_s : float option;  (** per-request default wall budget *)
   log_path : string option;  (** JSON-lines event log (append) *)
   trace : bool;

@@ -7,7 +7,7 @@
    deck content plus the knobs that shape results — and the
    rendered bytes are cached under it, so an identical deck submitted
    twice produces byte-identical output with the warm run skipping all
-   plan/PSS work. *)
+   plan/PSS work.  A miss computes from scratch. *)
 
 type request = {
   deck : Spice_elab.t;
@@ -64,7 +64,7 @@ let compute req =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Spice_run.run ~domains:req.domains ?steps:req.steps ?f_offset:req.f_offset
-    ~policy:req.policy ?budget:req.budget ?cache:req.cache ppf req.deck;
+    ~policy:req.policy ?budget:req.budget ppf req.deck;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 
@@ -88,9 +88,6 @@ let submit req =
   | None ->
     let d0 = Linsys.degradation_count () in
     let k0 = Linsys.krylov_fallback_count () in
-    (* under engine faults the state caches are bypassed too: a
-       NaN-poisoned PSS state must not seed later clean runs *)
-    let req = if cacheable then req else { req with cache = None } in
     let output = compute req in
     (match req.cache with
      | Some c when cacheable -> Cache.put_result c key output

@@ -3,11 +3,11 @@
     (docs/serving.md).
 
     A job is an elaborated deck plus engine knobs; its {!fingerprint}
-    is the content-addressed identity every cache layer keys on.
+    is the content-addressed identity the result cache keys on.
     [submit] consults the result cache first — a hit returns the
     rendered bytes of the original run verbatim (byte-identical, all
-    plan/PSS work skipped); a miss computes through {!Spice_run} with
-    the engine-state caches warm-started, then stores the bytes. *)
+    plan/PSS work skipped); a miss computes from scratch through
+    {!Spice_run}, then stores the bytes. *)
 
 type request = {
   deck : Spice_elab.t;
@@ -48,6 +48,6 @@ val submit : request -> outcome
 (** Run the job (or replay its cached result).  Engine exceptions
     ({!Budget.Timed_out}, convergence failures, elaboration errors)
     propagate to the caller exactly as the non-cached path raised them.
-    When {!Faultsim} is armed at any non-[cache.*] site, the result and
-    engine-state caches are bypassed entirely — faulty runs are neither
-    stored nor served. *)
+    When {!Faultsim} is armed at any non-[cache.*] site, the result
+    cache is bypassed entirely — faulty runs are neither stored nor
+    served. *)

@@ -28,20 +28,6 @@ type result =
   | R_mc of Monte_carlo.result
   | R_yield of Yield.result
 
-(* Key prefix for the engine-state cache entries of one PSS context:
-   the circuit content plus every knob that shapes the solution
-   (period, grid steps, offset frequency).  The linear-solver regime
-   follows from the circuit size, and the remaining Analysis.prepare
-   defaults (Pss tol = 1e-7, warmup) are constants of the fp2 scheme —
-   parameterizing any of them means adding it here and bumping
-   {!Fingerprint.scheme_version}. *)
-let ctx_prefix circuit ~steps ~f_offset ~period =
-  Fingerprint.strings "pssctx"
-    [ Circuit.fingerprint circuit;
-      Printf.sprintf "%.17g" period;
-      string_of_int steps;
-      Printf.sprintf "%.17g" f_offset ]
-
 (* [domains] sizes the sample lanes of the .mc and .yield cards; every
    other card runs on the calling domain.  [policy]/[budget] thread into
    the nonlinear engines (DC, transient, PSS, the mismatch analyses,
@@ -49,15 +35,10 @@ let ctx_prefix circuit ~steps ~f_offset ~period =
    sensitivities) are single direct solves with no iteration to bound
    and stay untouched. *)
 let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?policy ?budget
-    ?cache (deck : Spice_elab.t) analysis =
+    (deck : Spice_elab.t) analysis =
   Obs.span (span_name analysis) @@ fun () ->
   Obs.count "spice.analyses" 1;
   let circuit = deck.Spice_elab.circuit in
-  let ctx_cache ~period =
-    match cache with
-    | None -> None
-    | Some c -> Some (c, ctx_prefix circuit ~steps ~f_offset ~period)
-  in
   match analysis with
   | Spice_ast.A_op -> R_op (Dc.solve ?policy ?budget circuit)
   | Spice_ast.A_dc_match { output } -> R_dc_match (Sens.dc_match circuit ~output)
@@ -84,14 +65,12 @@ let execute ?(domains = 1) ?(steps = 200) ?(f_offset = 1.0) ?policy ?budget
     R_pss (Pss.solve ~steps ?policy ?budget circuit ~period)
   | Spice_ast.A_mismatch_dc { output; period } ->
     let ctx =
-      Analysis.prepare ~steps ~f_offset ?policy ?budget
-        ?cache:(ctx_cache ~period) circuit ~period
+      Analysis.prepare ~steps ~f_offset ?policy ?budget circuit ~period
     in
     R_report (Analysis.dc_variation ctx ~output)
   | Spice_ast.A_mismatch_delay { output; period; threshold; after; rising } ->
     let ctx =
-      Analysis.prepare ~steps ~f_offset ?policy ?budget
-        ?cache:(ctx_cache ~period) circuit ~period
+      Analysis.prepare ~steps ~f_offset ?policy ?budget circuit ~period
     in
     let crossing =
       {
@@ -221,12 +200,12 @@ let render ppf (deck : Spice_elab.t) analysis result =
     Format.fprintf ppf ".yield v(%s):@.%s" output (Yield.render r)
   | _ -> invalid_arg "Spice_run.render: result does not match the analysis"
 
-let run_analysis ?domains ?steps ?f_offset ?policy ?budget ?cache ppf
+let run_analysis ?domains ?steps ?f_offset ?policy ?budget ppf
     (deck : Spice_elab.t) analysis =
   render ppf deck analysis
-    (execute ?domains ?steps ?f_offset ?policy ?budget ?cache deck analysis)
+    (execute ?domains ?steps ?f_offset ?policy ?budget deck analysis)
 
-let run ?domains ?steps ?f_offset ?policy ?budget ?cache ppf deck =
+let run ?domains ?steps ?f_offset ?policy ?budget ppf deck =
   if deck.Spice_elab.title <> "" then
     Format.fprintf ppf "* %s@.@." deck.Spice_elab.title;
   (* end-of-run degradation summary: sample this domain's fallback
@@ -238,13 +217,12 @@ let run ?domains ?steps ?f_offset ?policy ?budget ?cache ppf deck =
   let k0 = Linsys.krylov_fallback_count () in
   (match deck.Spice_elab.analyses with
    | [] ->
-     run_analysis ?domains ?steps ?f_offset ?policy ?budget ?cache ppf deck
+     run_analysis ?domains ?steps ?f_offset ?policy ?budget ppf deck
        Spice_ast.A_op
    | analyses ->
      List.iter
        (fun (_ln, a) ->
-         run_analysis ?domains ?steps ?f_offset ?policy ?budget ?cache ppf
-           deck a)
+         run_analysis ?domains ?steps ?f_offset ?policy ?budget ppf deck a)
        analyses);
   let degradations = Linsys.degradation_count () - d0 in
   let krylov_fallbacks = Linsys.krylov_fallback_count () - k0 in

@@ -22,7 +22,7 @@ type result =
 
 val execute :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
+  ?policy:Retry.policy -> ?budget:Budget.t ->
   Spice_elab.t -> Spice_ast.analysis -> result
 (** Run one analysis card against the deck's circuit, no printing.
     [domains] (default 1) sizes the sample lanes of the [.mc] and
@@ -32,9 +32,8 @@ val execute :
     [policy] and [budget] thread into
     the nonlinear engines (docs/robustness.md) — the LTI analyses
     ([.ac], [.noise], [.dcmatch]) are direct solves and ignore them.
-    [cache] warm-starts the mismatch cards' PSS/PNOISE phases from
-    previously converged state (bit-identical either way; see
-    {!Analysis.prepare} and docs/serving.md). *)
+    Every call computes from scratch: caching is the job layer's
+    ({!Spice_job}), which stores rendered bytes. *)
 
 val render :
   Format.formatter -> Spice_elab.t -> Spice_ast.analysis -> result -> unit
@@ -43,14 +42,12 @@ val render :
 
 val run_analysis :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
-  Format.formatter -> Spice_elab.t -> Spice_ast.analysis -> unit
+  ?policy:Retry.policy -> ?budget:Budget.t -> Format.formatter -> Spice_elab.t -> Spice_ast.analysis -> unit
 (** [execute] + [render]. *)
 
 val run :
   ?domains:int -> ?steps:int -> ?f_offset:float ->
-  ?policy:Retry.policy -> ?budget:Budget.t -> ?cache:Cache.t ->
-  Format.formatter -> Spice_elab.t -> unit
+  ?policy:Retry.policy -> ?budget:Budget.t -> Format.formatter -> Spice_elab.t -> unit
 (** Run every card in deck order.  A deck with no cards gets an [.op].
     The budget spans the whole deck: cards consume it cumulatively.
     When any sparse→dense degradation or krylov→dense fallback occurred

@@ -437,10 +437,10 @@ let attempt_process st point hash () =
 (* ------------------------------------------------------------------ *)
 (* domain isolation: the point computed in-process *)
 
-let attempt_domain st cache point hash () =
+let attempt_domain st point hash () =
   match
-    Sweep_worker.run_point ?cache ?budget_s:st.spec.Sweep_spec.point_budget_s
-      ~hash st.spec point
+    Sweep_worker.run_point ?budget_s:st.spec.Sweep_spec.point_budget_s ~hash
+      st.spec point
   with
   | e when e.Sweep_journal.outcome = "timed_out" -> Transient e
   | e -> Final e
@@ -466,14 +466,11 @@ let thread f =
 
 (* [jobs] lanes each claim the next pending point and settle it.  The
    isolation picks only the attempt and the spawner: domain lanes
-   compute in-process and share one engine-state cache, created here so
-   no two lanes race to build it. *)
+   compute in-process, process lanes supervise a worker each. *)
 let run_lanes st isolation =
   let attempt, spawn =
     match isolation with
-    | Domains ->
-      let cache = Result.to_option (Cache.create ()) in
-      (attempt_domain st cache, Lanes.domain)
+    | Domains -> (attempt_domain st, Lanes.domain)
     | Process | Auto_iso -> (attempt_process st, thread)
   in
   Lanes.run ~spawn ~lanes:st.conf.jobs ~label:"sweep.point"

@@ -32,7 +32,7 @@ let cell_params table defaults point =
 (* ------------------------------------------------------------------ *)
 (* the point body *)
 
-let compute ?cache (spec : Sweep_spec.t) point ~policy ~budget =
+let compute (spec : Sweep_spec.t) point ~policy ~budget =
   let k = knobs_of spec point in
   let circuit, period, f_guess =
     match spec.Sweep_spec.target with
@@ -75,7 +75,7 @@ let compute ?cache (spec : Sweep_spec.t) point ~policy ~budget =
        (Printf.sprintf "output node %S does not exist in the target" output));
   (* each reading maps onto the analysis card the CLI would run for it,
      so sweep points go through the same typed execute path as [varsim
-     run] and [varsim serve] — one pipeline, one cache seam *)
+     run] and [varsim serve] — one pipeline *)
   let card =
     match spec.Sweep_spec.analysis with
     | Sweep_spec.Op -> Spice_ast.A_op
@@ -96,9 +96,7 @@ let compute ?cache (spec : Sweep_spec.t) point ~policy ~budget =
       Spice_ast.A_mismatch_freq { anchor = output; f_guess }
   in
   let deck = { Spice_elab.title = ""; circuit; analyses = [] } in
-  match
-    Spice_run.execute ?steps:k.steps ~policy ?budget ?cache deck card
-  with
+  match Spice_run.execute ?steps:k.steps ~policy ?budget deck card with
   | Spice_run.R_op x -> ("v", x.(Circuit.node_row circuit output))
   | Spice_run.R_dc_match rep -> ("sigma", rep.Sens.sigma)
   | Spice_run.R_report rep -> ("sigma", rep.Report.sigma)
@@ -107,7 +105,7 @@ let compute ?cache (spec : Sweep_spec.t) point ~policy ~budget =
   | Spice_run.R_pss _ | Spice_run.R_mc _ | Spice_run.R_yield _ ->
     assert false (* the four cards above only yield the four above *)
 
-let run_point ?cache ?budget_s ~hash (spec : Sweep_spec.t) point =
+let run_point ?budget_s ~hash (spec : Sweep_spec.t) point =
   let label = Printf.sprintf "sweep point %d" point.Sweep_spec.id in
   let policy =
     { Retry.default with Retry.max_retries = spec.Sweep_spec.max_retries }
@@ -115,7 +113,7 @@ let run_point ?cache ?budget_s ~hash (spec : Sweep_spec.t) point =
   let budget = Option.map (fun s -> Budget.make ~wall_s:s ~label ()) budget_s in
   let out =
     Resilient.run ?budget ~label (fun () ->
-        compute ?cache spec point ~policy ~budget)
+        compute spec point ~policy ~budget)
   in
   let degraded = out.Resilient.degradations + out.Resilient.krylov_fallbacks in
   let entry outcome metric value =

@@ -13,19 +13,16 @@
     (docs/robustness.md, "Sweeps and supervision"). *)
 
 val run_point :
-  ?cache:Cache.t -> ?budget_s:float -> hash:string -> Sweep_spec.t ->
-  Sweep_spec.point -> Sweep_journal.entry
+  ?budget_s:float -> hash:string -> Sweep_spec.t -> Sweep_spec.point ->
+  Sweep_journal.entry
 (** Run one point in-process and encode it as the entry both
     isolations exchange: outcome ["ok"], ["degraded"] (a completed
     reading that needed backend degradations), ["timed_out"] or
     ["failed:<reason>"] ({!Resilient.describe} of the typed failure),
     with [attempts = 1].  [hash] is the point's
-    {!Sweep_spec.point_hash}.  [cache] is the engine-state cache the
-    domain lanes of one sweep share, so points that elaborate the same
-    circuit with the same knobs warm-start each other — observable as
-    fewer ["symbolic.plan"]/["pss.*"] increments, never as different
-    values (docs/serving.md); a worker process computes one point and
-    passes none. *)
+    {!Sweep_spec.point_hash}.  Every point computes from scratch; only
+    the process-global sparse plan cache carries over between points
+    that share a process (docs/serving.md). *)
 
 val main :
   ?crash:bool -> ?telemetry:bool -> spec_path:string -> index:int ->

@@ -389,8 +389,8 @@ let () =
     (read_file "bx.json" = read_file "iso_p.json");
 
   (* ------------------------------------------------------------- *)
-  (* domain lanes share one engine cache: repeated fresh sweeps must
-     never record a point failed by two lanes racing to build it *)
+  (* domain lanes compute side by side in one process: repeated fresh
+     sweeps must never record a point failed by a race between lanes *)
 
   write_file "eight.spec"
     "cell = mirror\n\
